@@ -51,6 +51,14 @@ LecaEncoder::quantizeWeights(std::vector<QuantStat> &stats)
                          + std::to_string(_config.kernel),
                      _qweight.fp32Bytes(), _qweight.quantBytes(),
                      quantMaxAbsError(_weight.value, _qweight)});
+    preparePlainFp32();
+}
+
+// leca-analyze: cold — plan-time weight materialisation
+void
+LecaEncoder::preparePlainFp32()
+{
+    _dqweight = _qweight.empty() ? Tensor() : dequantizeRowMajor(_qweight);
 }
 
 void
@@ -132,30 +140,25 @@ LecaEncoder::forwardSoft(const Tensor &x, Mode mode)
     _inShape = x.shape();
 
     Tensor pre({n, nch, oh, ow});
-    if (!_qweight.empty()) {
-        LECA_CHECK(mode == Mode::Eval,
-                   "quantized encoder cannot run a Train-mode forward");
-        const std::size_t in_sz = static_cast<std::size_t>(c) * h * w;
-        const std::size_t out_sz =
-            static_cast<std::size_t>(nch) * oh * ow;
-        parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
-            for (std::int64_t i = n0; i < n1; ++i)
-                convForwardQuant(
-                    x.data() + static_cast<std::size_t>(i) * in_sz, c, h,
-                    w, k, k, k, 0, _qweight, nullptr,
-                    pre.data() + static_cast<std::size_t>(i) * out_sz);
-        });
-    } else {
-        const Tensor wmat = _weight.value.reshape({nch, c * k * k});
-        const Tensor no_bias;
-        // Every image packs straight into arena scratch
-        // (conv2dImageInto): no column matrix, no per-image allocation.
-        // Backward recomputes the im2col it needs from the cached input.
-        parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
-            for (int i = static_cast<int>(n0); i < n1; ++i)
-                conv2dImageInto(x, i, wmat, no_bias, k, k, k, 0, pre);
-        });
-    }
+    // Quantized: the fp32 packed conv over the weight values carried by
+    // the codes (preparePlainFp32's copy, else dequantized per call) —
+    // a 12-MAC patch padded to a 32-lane int8 block would cost more.
+    LECA_CHECK(_qweight.empty() || mode == Mode::Eval,
+               "quantized encoder cannot run a Train-mode forward");
+    const bool per_call = !_qweight.empty() && _dqweight.numel() == 0;
+    const Tensor dq = per_call ? dequantizeRowMajor(_qweight) : Tensor();
+    const Tensor &wsrc = per_call            ? dq
+                         : _qweight.empty() ? _weight.value
+                                            : _dqweight;
+    const Tensor wmat = wsrc.reshape({nch, c * k * k});
+    const Tensor no_bias;
+    // Every image packs straight into arena scratch (conv2dImageInto):
+    // no column matrix, no per-image allocation. Backward recomputes
+    // the im2col it needs from the cached input.
+    parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
+        for (int i = static_cast<int>(n0); i < n1; ++i)
+            conv2dImageInto(x, i, wmat, no_bias, k, k, k, 0, pre);
+    });
 
     const float s = std::max(_outScale.value[0], 0.05f);
     const int levels = _config.qbits.levels();

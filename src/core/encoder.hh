@@ -63,6 +63,14 @@ class LecaEncoder : public Layer
     void quantizeWeights(std::vector<QuantStat> &stats) override;
     std::vector<QuantTensor *> quantTensors() override { return {&_qweight}; }
 
+    /**
+     * (Re)build the fp32 weight copy dequantized from the int8 CODES
+     * that the quantized Soft forward runs through the fp32 packed conv
+     * — so quantize() and loadQuantized() infer identically. Called by
+     * quantizeWeights() and after quantized-checkpoint restores.
+     */
+    void preparePlainFp32();
+
     /** Switch forward model; resets the output scale to a sane value. */
     void setModality(EncoderModality modality);
     EncoderModality modality() const { return _modality; }
@@ -102,6 +110,7 @@ class LecaEncoder : public Layer
     Param _weight;
     Param _outScale;
     QuantTensor _qweight; //!< int8 weights; empty until quantizeWeights
+    Tensor _dqweight;     //!< fp32 execution copy; see preparePlainFp32
 
     AnalogNoiseModel _noiseModel;
     bool _hasNoiseModel = false;

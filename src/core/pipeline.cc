@@ -219,9 +219,10 @@ LecaPipeline::loadQuantized(const std::string &path)
     PipelineBundle bundle(*_encoder, *_decoder, *_backbone);
     if (!loadQuantizedState(bundle, path))
         return false;
-    // Restores bypass quantizeWeights, so build the resident execution
-    // plans here; the HWC layouts derive from the restored CODES, so
-    // this inference is bit-identical to a quantize()d pipeline's.
+    // Restores bypass quantizeWeights, so build the execution forms
+    // here; they all derive from the restored CODES, so this inference
+    // is bit-identical to a quantize()d pipeline's.
+    _encoder->preparePlainFp32();
     _decoder->planQuantized();
     _backbone->planQuantized();
     _quantized = true;

@@ -33,29 +33,19 @@ Conv2d::forward(const Tensor &x, Mode mode)
     const int ow = convOutSize(w, _k, _stride, _pad);
 
     Tensor y({n, _cout, oh, ow});
-    if (!_qweight.empty() && _dqweight.numel() == 0) {
-        LECA_CHECK(mode == Mode::Eval,
-                   "quantized Conv2d cannot run a Train-mode forward");
-        const std::size_t in_sz = static_cast<std::size_t>(_cin) * h * w;
-        const std::size_t out_sz =
-            static_cast<std::size_t>(_cout) * oh * ow;
-        const float *bias = _hasBias ? _bias.value.data() : nullptr;
-        parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
-            for (std::int64_t i = n0; i < n1; ++i)
-                convForwardQuant(
-                    x.data() + static_cast<std::size_t>(i) * in_sz, _cin,
-                    h, w, _k, _k, _stride, _pad, _qweight, bias,
-                    y.data() + static_cast<std::size_t>(i) * out_sz);
-        });
-        return y;
-    }
-    // Quantized convs planned Plain-fp32 (preparePlainFp32) run the
-    // same packed conv as unquantized ones, just over the dequantized
-    // weight copy; Train mode stays restricted to real fp32 weights.
-    LECA_CHECK(_dqweight.numel() == 0 || mode == Mode::Eval,
+    // A quantized conv evaluates its quantized weight VALUES through the
+    // fp32 packed conv: planned Plain-fp32 (preparePlainFp32) over the
+    // cached copy, unplanned over a copy dequantized from the codes per
+    // call. Either way the values come from the codes, so quantize()
+    // and loadQuantized() agree; Train mode stays restricted to real
+    // fp32 weights.
+    LECA_CHECK(_qweight.empty() || mode == Mode::Eval,
                "quantized Conv2d cannot run a Train-mode forward");
-    const Tensor &wsrc =
-        _dqweight.numel() != 0 ? _dqweight : _weight.value;
+    const bool per_call = !_qweight.empty() && _dqweight.numel() == 0;
+    const Tensor dq = per_call ? dequantizeRowMajor(_qweight) : Tensor();
+    const Tensor &wsrc = per_call            ? dq
+                         : _qweight.empty() ? _weight.value
+                                            : _dqweight;
     const Tensor wmat = wsrc.reshape({_cout, _cin * _k * _k});
     const Tensor no_bias;
     // Both modes pack the image straight into arena scratch

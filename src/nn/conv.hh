@@ -71,15 +71,17 @@ class Conv2d : public Layer
     void prepareResident();
 
     /**
-     * Switch this quantized conv's execution to the fp32 packed conv
-     * over a weight copy dequantized from the stored CODES (DESIGN.md
-     * §13). For narrow inputs (cin < kResidentMinCin) the int8 block
-     * padding inflates every patch dot to quantPadded(cin)/cin times
-     * its real MACs, so evaluating the same quantized weight VALUES
-     * through the fp32 conv is strictly faster and changes nothing the
-     * codes don't already carry. Deriving the copy from the codes keeps
-     * quantize() and loadQuantized() pipelines bit-identical. Called at
-     * plan time; always rebuilds (restore-over-quantized safety).
+     * Cache the fp32 weight copy dequantized from the stored CODES that
+     * a quantized conv outside the resident path runs through the fp32
+     * packed conv (DESIGN.md §13). For narrow inputs (cin <
+     * kResidentMinCin) the int8 block padding inflates every patch dot
+     * to quantPadded(cin)/cin times its real MACs, so evaluating the
+     * same quantized weight VALUES through the fp32 conv is faster and
+     * changes nothing the codes don't already carry. Deriving the copy
+     * from the codes keeps quantize() and loadQuantized() pipelines
+     * bit-identical. Called at plan time; always rebuilds (restore-
+     * over-quantized safety). Without it, forward() dequantizes the
+     * codes per call.
      */
     void preparePlainFp32();
 

@@ -66,10 +66,20 @@ void
 Linear::quantizeWeights(std::vector<QuantStat> &stats)
 {
     _qweight = quantizeRowMajor(_weight.value, _out, _in);
+    _qweight.pack();
     stats.push_back({"Linear " + std::to_string(_in) + "->"
                          + std::to_string(_out),
                      _qweight.fp32Bytes(), _qweight.quantBytes(),
                      quantMaxAbsError(_weight.value, _qweight)});
+}
+
+// leca-analyze: cold — plan-time weight re-layout
+void
+Linear::preparePacked()
+{
+    LECA_CHECK(!_qweight.empty(),
+               "Linear::preparePacked before quantizeWeights");
+    _qweight.pack();
 }
 
 } // namespace leca

@@ -26,6 +26,15 @@ class Linear : public Layer
 
     Param &weight() { return _weight; }
     Param &bias() { return _bias; }
+    bool quantized() const { return !_qweight.empty(); }
+
+    /**
+     * (Re)build the packed GEMM layout of the int8 weights. Done by
+     * quantizeWeights(); quantized-checkpoint restores replace the
+     * codes without it, so the owning Sequential's planQuantized()
+     * calls this again.
+     */
+    void preparePacked();
 
   private:
     int _in, _out;

@@ -5,6 +5,7 @@
 #include "nn/activation.hh"
 #include "nn/batchnorm.hh"
 #include "nn/conv.hh"
+#include "nn/linear.hh"
 #include "nn/pool.hh"
 #include "tensor/isa.hh"
 #include "tensor/quant.hh"
@@ -126,10 +127,13 @@ Sequential::planQuantized()
         st.layer = l;
         if (auto *conv = dynamic_cast<Conv2d *>(l);
             conv != nullptr && conv->quantized())
-            // Narrow conv (cin < kResidentMinCin): block padding makes
-            // the per-patch int8 path a net loss, so run it as the fp32
-            // packed conv over weights dequantized from the codes.
+            // Narrow conv (cin < kResidentMinCin): block padding would
+            // inflate its int8 patch dots, so it runs as the fp32 packed
+            // conv over weights dequantized from the codes.
             conv->preparePlainFp32();
+        else if (auto *fc = dynamic_cast<Linear *>(l);
+                 fc != nullptr && fc->quantized())
+            fc->preparePacked();
         if (auto *mp = dynamic_cast<MaxPool2d *>(l)) {
             st.kind = QuantStep::Kind::PoolMax;
             st.poolK = mp->kernel();
@@ -420,23 +424,17 @@ ResidualBlock::ResidualBlock(int cin, int cout, int stride, Rng &rng)
 bool
 ResidualBlock::planResident()
 {
-    _resident = false;
-    if (!_conv1->quantized() || !_conv2->quantized())
-        return false;
-    if (_hasProj && !_projConv->quantized())
-        return false;
-    if (_conv1->cin() < kResidentMinCin)
-        return false;
-    _conv1->prepareResident();
-    _conv2->prepareResident();
-    if (_hasProj)
-        _projConv->prepareResident();
-    // Keep the child plans fresh too (used by the non-resident forward
-    // fallback); on the loadQuantized path this is their only planner.
+    // The child plans run the non-resident forward (and are the only
+    // planner on the loadQuantized path); planning them also prepares
+    // every quantized conv's execution form — the packed HWC layout for
+    // wide convs, the fp32 copy for narrow ones.
     _main.planQuantized();
     _proj.planQuantized();
-    _resident = true;
-    return true;
+    _resident = _conv1->quantized() && _conv2->quantized()
+                && (!_hasProj || _projConv->quantized())
+                && _conv1->cin() >= kResidentMinCin
+                && _conv2->cin() >= kResidentMinCin;
+    return _resident;
 }
 
 int

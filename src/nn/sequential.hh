@@ -23,8 +23,9 @@ struct QuantActivation;
  * Smallest input-channel count for which a quantized conv consumes
  * resident int8 codes (DESIGN.md §13). Below it (e.g. the 3-channel
  * backbone stem and the decoder's DnCNN stack) block padding inflates
- * the patch MACs so much that the per-patch path stays faster, so those
- * convs keep their plain quantized forward.
+ * the patch MACs so much that the fp32 packed conv over the weights
+ * dequantized from the codes (Conv2d::preparePlainFp32) is faster, so
+ * the planner runs those convs that way.
  */
 inline constexpr int kResidentMinCin = 16;
 
@@ -132,11 +133,12 @@ class ResidualBlock : public Layer
     std::vector<QuantTensor *> quantTensors() override;
 
     /**
-     * Prepare the block's resident execution (DESIGN.md §13): checks
-     * every conv is quantized and wide enough (kResidentMinCin), builds
-     * the HWC weight layouts, and re-plans the child Sequentials.
-     * Returns whether the block will run resident; idempotent, called
-     * from the owning Sequential's planQuantized().
+     * Prepare the block's quantized execution (DESIGN.md §13): re-plans
+     * the child Sequentials (which builds the convs' packed HWC layouts
+     * or fp32 copies) and checks every conv is quantized and wide
+     * enough (kResidentMinCin) to run resident. Returns whether the
+     * block will run resident; idempotent, called from the owning
+     * Sequential's planQuantized().
      */
     bool planResident();
     bool resident() const { return _resident; }

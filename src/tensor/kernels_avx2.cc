@@ -8,17 +8,22 @@
  * C-edge tiles use VMASKMOVPS so there is no separate tail path; the
  * packed panels are already zero-padded along both k and n.
  *
- * int8: the VPMADDUBSW sign trick (ggml-style): |a| as the unsigned
- * operand and sign(a)·b as the signed one, so each product is a·b.
- * Quantization never produces -128, which bounds every s16 pair sum by
- * 2·127·127 < 32767 — VPMADDUBSW cannot saturate. VPMADDWD against
- * ones then yields the exact 4-element group sums of the pinned dot
- * structure.
+ * int8: the VPMADDUBSW sign trick (ggml-style) on signed A and
+ * unbiased packed B: |a| as the unsigned operand and sign(a)·w as the
+ * signed one, so each product is a·w. Quantization never produces
+ * -128, which bounds every s16 pair sum by 2·127·127 < 32767 —
+ * VPMADDUBSW cannot saturate. (Biasing A to unsigned bytes instead, as
+ * the VNNI kernel does, would: 2·255·127 > 32767.) VPMADDWD against
+ * ones then yields exact int32 4-element group sums, added into the
+ * block's int32 dot. This kernel also serves AVX-512 hosts without
+ * VNNI.
  */
 
 #if defined(__AVX2__)
 
 #include <immintrin.h>
+
+#include <cstring>
 
 #include "tensor/simd.hh"
 
@@ -35,16 +40,84 @@ laneMask(int nr, int base)
     return _mm256_cmpgt_epi32(_mm256_set1_epi32(nr - base), idx);
 }
 
-/** ((t0+t2) + (t1+t3)) over the 8-lane v reduced as lo128+hi128 —
- *  exactly the pinned reduction tree of DotQ8RowFn. */
-inline float
-reduceGroups(__m256 v)
+constexpr std::int64_t L = kPackedQ8Cols;
+
+/**
+ * R A rows × H 8-column halves of one 16-column weight tile, over all
+ * nb blocks: one float chain per output element, one fused update per
+ * block, exactly the GemmQ8PackedFn contract. A tile with at most 8
+ * live columns (e.g. a 3-channel conv head) runs only its first half.
+ * R·H = 4 keeps the int32 and float accumulators, the weight halves,
+ * the broadcast A group, its absolute value and the ones vector within
+ * the 16 ymm registers.
+ */
+template <int R, int H>
+void
+tileKernel(const std::int8_t *qa, const float *sa, const PackedQ8View &b,
+           std::int64_t tile, float *c, std::int64_t ldc)
 {
-    const __m128 t =
-        _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
-    const __m128 u = _mm_add_ps(t, _mm_movehl_ps(t, t));
-    const __m128 r = _mm_add_ss(u, _mm_shuffle_ps(u, u, 0x55));
-    return _mm_cvtss_f32(r);
+    const std::int64_t nb = b.nb;
+    const __m256i ones = _mm256_set1_epi16(1);
+    __m256 facc[R][H];
+    for (int r = 0; r < R; ++r)
+        for (int h = 0; h < H; ++h)
+            facc[r][h] = _mm256_setzero_ps();
+    for (std::int64_t blk = 0; blk < nb; ++blk) {
+        const std::int8_t *w = b.q + (tile * nb + blk) * 32 * L;
+        __m256i acc[R][H];
+        for (int r = 0; r < R; ++r)
+            for (int h = 0; h < H; ++h)
+                acc[r][h] = _mm256_setzero_si256();
+        for (int g = 0; g < 8; ++g) {
+            __m256i wv[H];
+            for (int h = 0; h < H; ++h)
+                wv[h] = _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(w + g * 64 + h * 32));
+            for (int r = 0; r < R; ++r) {
+                std::int32_t a4;
+                std::memcpy(&a4, qa + (r * nb + blk) * 32 + 4 * g, 4);
+                const __m256i av = _mm256_set1_epi32(a4);
+                const __m256i ax = _mm256_sign_epi8(av, av);
+                for (int h = 0; h < H; ++h) {
+                    const __m256i p =
+                        _mm256_maddubs_epi16(ax, _mm256_sign_epi8(wv[h], av));
+                    acc[r][h] = _mm256_add_epi32(acc[r][h],
+                                                 _mm256_madd_epi16(p, ones));
+                }
+            }
+        }
+        const float *sw = b.scales + (tile * nb + blk) * L;
+        for (int h = 0; h < H; ++h) {
+            const __m256 swh = _mm256_loadu_ps(sw + 8 * h);
+            for (int r = 0; r < R; ++r)
+                facc[r][h] = _mm256_fmadd_ps(
+                    _mm256_mul_ps(_mm256_set1_ps(sa[r * nb + blk]), swh),
+                    _mm256_cvtepi32_ps(acc[r][h]), facc[r][h]);
+        }
+    }
+    const int live = static_cast<int>(b.n - tile * L < L ? b.n - tile * L : L);
+    for (int h = 0; h < H; ++h) {
+        const __m256i mask = laneMask(live, 8 * h);
+        for (int r = 0; r < R; ++r)
+            _mm256_maskstore_ps(c + r * ldc + 8 * h, mask, facc[r][h]);
+    }
+}
+
+/** Rows [i0, ie) against one tile: R-row register tiles, then singles. */
+template <int R, int H>
+void
+tileRows(std::int64_t i0, std::int64_t ie, const std::int8_t *qa,
+         const float *sa, const PackedQ8View &b, std::int64_t tile,
+         float *c, std::int64_t ldc)
+{
+    const std::int64_t nb = b.nb;
+    std::int64_t i = i0;
+    for (; i + R <= ie; i += R)
+        tileKernel<R, H>(qa + i * nb * 32, sa + i * nb, b, tile,
+                         c + i * ldc + tile * L, ldc);
+    for (; i < ie; ++i)
+        tileKernel<1, H>(qa + i * nb * 32, sa + i * nb, b, tile,
+                         c + i * ldc + tile * L, ldc);
 }
 
 } // namespace
@@ -81,34 +154,22 @@ microF32Avx2(std::int64_t kc, const float *ap, const float *bp, float *c,
     }
 }
 
+// leca-analyze: entry
 void
-dotQ8RowAvx2(const std::int8_t *qa, const float *sa, const std::int8_t *qb,
-             const float *sb, std::int64_t nb, std::int64_t n, float *c)
+gemmQ8PackedAvx2(std::int64_t m, const std::int8_t *qa, const float *sa,
+                 const PackedQ8View &b, float *c, std::int64_t ldc)
 {
-    const __m256i ones = _mm256_set1_epi16(1);
-    const std::int64_t row_bytes = nb * 32;
-    for (std::int64_t j = 0; j < n; ++j) {
-        const std::int8_t *qbr = qb + j * row_bytes;
-        const float *sbr = sb + j * nb;
-        __m256 acc0 = _mm256_setzero_ps();
-        __m256 acc1 = _mm256_setzero_ps();
-        for (std::int64_t b = 0; b < nb; ++b) {
-            const __m256i va = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(qa + b * 32));
-            const __m256i vb = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(qbr + b * 32));
-            const __m256i ax = _mm256_sign_epi8(va, va);
-            const __m256i by = _mm256_sign_epi8(vb, va);
-            const __m256i d16 = _mm256_maddubs_epi16(ax, by);
-            const __m256i g = _mm256_madd_epi16(d16, ones);
-            const __m256 gf = _mm256_cvtepi32_ps(g);
-            const __m256 sv = _mm256_set1_ps(sa[b] * sbr[b]);
-            if (b & 1)
-                acc1 = _mm256_fmadd_ps(sv, gf, acc1);
+    // 16-row A panels stay L1-resident while they sweep every tile.
+    constexpr std::int64_t kPanelRows = 16;
+    const std::int64_t tiles = (b.n + L - 1) / L;
+    for (std::int64_t i0 = 0; i0 < m; i0 += kPanelRows) {
+        const std::int64_t ie = m - i0 < kPanelRows ? m : i0 + kPanelRows;
+        for (std::int64_t t = 0; t < tiles; ++t) {
+            if (b.n - t * L > 8)
+                tileRows<2, 2>(i0, ie, qa, sa, b, t, c, ldc);
             else
-                acc0 = _mm256_fmadd_ps(sv, gf, acc0);
+                tileRows<4, 1>(i0, ie, qa, sa, b, t, c, ldc);
         }
-        c[j] = reduceGroups(_mm256_add_ps(acc0, acc1));
     }
 }
 

@@ -70,39 +70,42 @@ microF32Scalar(std::int64_t kc, const float *ap, const float *bp, float *c,
             c[r * ldc + l] = acc[r][l];
 }
 
+// leca-analyze: entry
 void
-dotQ8RowScalar(const std::int8_t *qa, const float *sa,
-               const std::int8_t *qb, const float *sb, std::int64_t nb,
-               std::int64_t n, float *c)
+gemmQ8PackedScalar(std::int64_t m, const std::int8_t *qa, const float *sa,
+                   const PackedQ8View &b, float *c, std::int64_t ldc)
 {
-    const std::int64_t row_bytes = nb * 32;
-    for (std::int64_t j = 0; j < n; ++j) {
-        const std::int8_t *qbr = qb + j * row_bytes;
-        const float *sbr = sb + j * nb;
-        // Two banks of eight group accumulators — the pinned lane
-        // structure of DotQ8RowFn (simd.hh).
-        float acc[2][8] = {{0.0f}};
-        for (std::int64_t b = 0; b < nb; ++b) {
-            const std::int8_t *pa = qa + b * 32;
-            const std::int8_t *pb = qbr + b * 32;
-            const float s = sa[b] * sbr[b];
-            float *bank = acc[b & 1];
-            for (int g = 0; g < 8; ++g) {
-                std::int32_t d = 0;
-                for (int t = 0; t < 4; ++t)
-                    d += static_cast<std::int32_t>(pa[4 * g + t])
-                         * static_cast<std::int32_t>(pb[4 * g + t]);
-                // Fused by contract (simd.hh): fmaf is correctly
-                // rounded, matching the SIMD variants' VFMADD/FMLA.
-                bank[g] = std::fmaf(s, static_cast<float>(d), bank[g]);
+    constexpr std::int64_t L = kPackedQ8Cols;
+    const std::int64_t nb = b.nb;
+    for (std::int64_t i = 0; i < m; ++i) {
+        const std::int8_t *arow = qa + i * nb * 32;
+        const float *sarow = sa + i * nb;
+        for (std::int64_t j0 = 0; j0 < b.n; j0 += L) {
+            const std::int64_t tile = j0 / L;
+            const std::int64_t live = b.n - j0 < L ? b.n - j0 : L;
+            // The GemmQ8PackedFn contract, literally: per column one
+            // float chain from +0, one fused update per block.
+            float acc[L];
+            for (std::int64_t l = 0; l < L; ++l)
+                acc[l] = 0.0f;
+            for (std::int64_t blk = 0; blk < nb; ++blk) {
+                const std::int8_t *pa = arow + blk * 32;
+                const std::int8_t *pw = b.q + (tile * nb + blk) * 32 * L;
+                const float *sw = b.scales + (tile * nb + blk) * L;
+                std::int32_t d[L] = {0};
+                for (int g = 0; g < 8; ++g)
+                    for (std::int64_t l = 0; l < L; ++l)
+                        for (int t = 0; t < 4; ++t)
+                            d[l] += static_cast<std::int32_t>(pa[4 * g + t])
+                                    * static_cast<std::int32_t>(
+                                        pw[(g * L + l) * 4 + t]);
+                for (std::int64_t l = 0; l < L; ++l)
+                    acc[l] = std::fmaf(sarow[blk] * sw[l],
+                                       static_cast<float>(d[l]), acc[l]);
             }
+            for (std::int64_t l = 0; l < live; ++l)
+                c[i * ldc + j0 + l] = acc[l];
         }
-        float v[8], t[4];
-        for (int g = 0; g < 8; ++g)
-            v[g] = acc[0][g] + acc[1][g];
-        for (int g = 0; g < 4; ++g)
-            t[g] = v[g] + v[g + 4];
-        c[j] = (t[0] + t[2]) + (t[1] + t[3]);
     }
 }
 

@@ -15,17 +15,16 @@ namespace leca {
 namespace {
 
 /**
- * A rows per L1-ish panel in gemmQ8: a panel's codes stay hot while it
- * sweeps every B tile, so B is re-streamed once per panel instead of
- * once per row.
+ * Patch rows gathered per panel by convForwardResident: the panel's
+ * codes stay L1-resident while the GEMM kernel sweeps every weight
+ * tile, so the weights are re-streamed once per panel.
  */
 constexpr std::int64_t kPanelRowsQ8 = 16;
 
 /**
- * A-row chunk size for gemmQ8: whole panels, and enough MACs to
- * amortise a pool dispatch (~512 KMAC). Depends only on the problem
- * shape, so the decomposition — and therefore every output bit — is
- * independent of LECA_THREADS.
+ * A-row chunk size for the int8 GEMMs: whole panels, and enough MACs
+ * to amortise a pool dispatch (~512 KMAC). Depends only on the problem
+ * shape; no output bit depends on it anyway (GemmQ8PackedFn).
  */
 std::int64_t
 chunkRowsQ8(std::int64_t n, std::int64_t nb)
@@ -129,152 +128,61 @@ quantizeRowsInto(const float *src, std::int64_t m, std::int64_t cols,
                  scales + i * nb);
 }
 
-// leca-analyze: entry
+// leca-analyze: cold — plan-time weight re-layout
 void
-gemmQ8(std::int64_t m, std::int64_t n, std::int64_t nb,
-       const std::int8_t *qa, const float *sa, const std::int8_t *qb,
-       const float *sb, float *c, std::int64_t ldc)
+QuantTensor::pack()
 {
-    const simd::DotQ8RowFn dot = activeKernels().dotQ8Row;
-    const simd::DotQ8RowUBFn dot_ub = activeKernels().dotQ8RowUB;
-    const std::int64_t row_bytes = nb * kQuantBlock;
-    // Every B row is reused by all m A rows, so when the active ISA
-    // wants an unsigned B operand (VNNI), bias the whole matrix once
-    // here — one streaming XOR pass — instead of per (block, row)
-    // inside the dot. Same bytes reach the multiplier either way, so
-    // results are bit-identical to the plain-dot path.
-    Arena::Scope scope;
-    const std::uint8_t *qb_ub = nullptr;
-    if (dot_ub != nullptr && m > 1) {
-        std::uint8_t *ub = static_cast<std::uint8_t *>(
-            Arena::local().allocBytes(
-                static_cast<std::size_t>(n * row_bytes)));
-        const std::uint8_t *src =
-            reinterpret_cast<const std::uint8_t *>(qb);
-        const std::int64_t total = n * row_bytes;
-        for (std::int64_t i = 0; i < total; ++i)
-            ub[i] = static_cast<std::uint8_t>(src[i] ^ 0x80u);
-        qb_ub = ub;
-    }
-    // Block for locality in both operands: a B tile's code rows stay
-    // L1-resident while an A panel's rows re-stream them, and the
-    // panel itself stays near-L1 across its sweep of every tile, so B
-    // is re-streamed once per 16-row panel instead of once per A row
-    // (without this the dot kernel is memory-bound long before its
-    // arithmetic peak). Pure partition of independent outputs: each
-    // c[i][j] is still one dot() in pinned order, so the blocking
-    // (like the thread count) can never change a bit of the result.
-    std::int64_t tile = (32 << 10) / row_bytes;
-    tile = std::max<std::int64_t>(8, tile & ~std::int64_t(7));
-    parallelFor(0, m, chunkRowsQ8(n, nb),
-                [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t ip = i0; ip < i1; ip += kPanelRowsQ8) {
-            const std::int64_t ie = std::min(i1, ip + kPanelRowsQ8);
-            for (std::int64_t j0 = 0; j0 < n; j0 += tile) {
-                const std::int64_t jn = std::min(tile, n - j0);
-                for (std::int64_t i = ip; i < ie; ++i) {
-                    if (qb_ub != nullptr)
-                        dot_ub(qa + i * row_bytes, sa + i * nb,
-                               qb_ub + j0 * row_bytes, sb + j0 * nb, nb,
-                               jn, c + i * ldc + j0);
-                    else
-                        dot(qa + i * row_bytes, sa + i * nb,
-                            qb + j0 * row_bytes, sb + j0 * nb, nb, jn,
-                            c + i * ldc + j0);
+    LECA_CHECK(q.size() == static_cast<std::size_t>(rows * nb * kQuantBlock)
+                   && scales.size() == static_cast<std::size_t>(rows * nb),
+               "QuantTensor::pack: ", rows, "x", nb,
+               " blocks without their codes and scales");
+    constexpr std::int64_t L = simd::kPackedQ8Cols;
+    const std::int64_t tiles = (rows + L - 1) / L;
+    const auto count = static_cast<std::size_t>(tiles * nb * L);
+    packed.q.assign(count * kQuantBlock, 0);
+    packed.scales.assign(count, 0.0f);
+    packed.corr.assign(count, 0);
+    for (std::int64_t j = 0; j < rows; ++j) {
+        const std::int64_t tile = j / L, lane = j % L;
+        for (std::int64_t b = 0; b < nb; ++b) {
+            const std::int64_t tb = tile * nb + b;
+            const std::int8_t *src = q.data() + (j * nb + b) * kQuantBlock;
+            std::int8_t *dst = packed.q.data() + tb * kQuantBlock * L;
+            std::int32_t sum = 0;
+            for (std::int64_t g = 0; g < kQuantBlock / 4; ++g)
+                for (std::int64_t t = 0; t < 4; ++t) {
+                    dst[(g * L + lane) * 4 + t] = src[4 * g + t];
+                    sum += src[4 * g + t];
                 }
-            }
+            packed.scales[static_cast<std::size_t>(tb * L + lane)] =
+                scales[static_cast<std::size_t>(j * nb + b)];
+            packed.corr[static_cast<std::size_t>(tb * L + lane)] = -128 * sum;
         }
-    });
+    }
+}
+
+simd::PackedQ8View
+QuantTensor::packedView() const
+{
+    LECA_CHECK(!packed.q.empty(), "int8 GEMM over an unpacked QuantTensor (",
+               rows, "x", cols, "): pack() it at quantize/plan time");
+    return {packed.q.data(), packed.scales.data(), packed.corr.data(), rows,
+            nb};
 }
 
 // leca-analyze: entry
 void
-convForwardQuant(const float *image, int cin, int h, int w, int kh, int kw,
-                 int stride, int pad, const QuantTensor &wq,
-                 const float *bias, float *dst)
+gemmQ8(std::int64_t m, const std::int8_t *qa, const float *sa,
+       const QuantTensor &wq, float *c, std::int64_t ldc)
 {
-    const int oh = (h + 2 * pad - kh) / stride + 1;
-    const int ow = (w + 2 * pad - kw) / stride + 1;
-    const std::int64_t kdim = static_cast<std::int64_t>(cin) * kh * kw;
-    const std::int64_t n = static_cast<std::int64_t>(oh) * ow;
-    LECA_CHECK(oh > 0 && ow > 0, "convForwardQuant output ", oh, "x", ow,
-               " for input ", h, "x", w, " kernel ", kh, "x", kw);
-    LECA_CHECK(wq.rows > 0 && wq.cols == kdim, "convForwardQuant: weight ",
-               wq.rows, "x", wq.cols, " vs patch length ", kdim);
+    const simd::GemmQ8PackedFn gemm = activeKernels().gemmQ8Packed;
+    const simd::PackedQ8View wv = wq.packedView();
     const std::int64_t nb = wq.nb;
-    Arena::Scope scope;
-    Arena &arena = Arena::local();
-    std::int8_t *qx = static_cast<std::int8_t *>(arena.allocBytes(
-        static_cast<std::size_t>(n * nb * kQuantBlock)));
-    float *sx = arena.alloc(static_cast<std::size_t>(n * nb));
-    // Gather + quantize each im2col patch (one column of the virtual
-    // column matrix) as a contiguous row. Serial under an outer batch
-    // parallelFor (nested regions degrade, like every kernel here);
-    // parallel across patches when this image is the whole workload.
-    const std::int64_t patch_grain =
-        std::max<std::int64_t>(1, (1 << 14) / std::max<std::int64_t>(1, kdim));
-    parallelFor(0, n, patch_grain, [&](std::int64_t p0, std::int64_t p1) {
-        Arena::Scope worker_scope;
-        const simd::QuantizeRowFn quantize_row = activeKernels().quantizeRow;
-        float *rowbuf =
-            Arena::local().alloc(static_cast<std::size_t>(kdim));
-        for (std::int64_t p = p0; p < p1; ++p) {
-            const int oy = static_cast<int>(p / ow);
-            const int ox = static_cast<int>(p % ow);
-            const int y0 = oy * stride - pad;
-            const int x0 = ox * stride - pad;
-            // The valid kx span is the same for every (ch, ky) of the
-            // patch; hoisting it (and the per-ky row test) keeps the
-            // copy loop branch-free so it vectorises. Edge patches
-            // zero the whole buffer first and fill only the valid
-            // spans; interior patches (the vast majority) skip the
-            // memset because every element is written.
-            const int kx0 = x0 < 0 ? -x0 : 0;
-            const int kx1 = x0 + kw > w ? w - x0 : kw;
-            if (kx0 > 0 || kx1 < kw || y0 < 0 || y0 + kh > h)
-                std::memset(rowbuf, 0,
-                            static_cast<std::size_t>(kdim)
-                                * sizeof(float));
-            for (int ch = 0; ch < cin; ++ch) {
-                const float *plane =
-                    image + static_cast<std::size_t>(ch) * h * w;
-                float *dst_ch =
-                    rowbuf + static_cast<std::int64_t>(ch) * kh * kw;
-                for (int ky = 0; ky < kh; ++ky) {
-                    const int iy = y0 + ky;
-                    if (iy < 0 || iy >= h)
-                        continue;
-                    const float *src_row =
-                        plane + static_cast<std::size_t>(iy) * w + x0;
-                    float *dst_row = dst_ch + ky * kw;
-                    for (int kx = kx0; kx < kx1; ++kx)
-                        dst_row[kx] = src_row[kx];
-                }
-            }
-            quantize_row(rowbuf, kdim, qx + p * nb * kQuantBlock, sx + p * nb);
-        }
+    parallelFor(0, m, chunkRowsQ8(wq.rows, nb),
+                [&](std::int64_t i0, std::int64_t i1) {
+        gemm(i1 - i0, qa + i0 * nb * kQuantBlock, sa + i0 * nb, wv,
+             c + i0 * ldc, ldc);
     });
-    gemmQ8(wq.rows, n, nb, wq.q.data(), wq.scales.data(), qx, sx, dst, n);
-    if (bias) {
-        // Second in-place pass, matching convForwardPacked.
-        for (std::int64_t co = 0; co < wq.rows; ++co) {
-            const float b = bias[co];
-            float *drow = dst + co * n;
-            for (std::int64_t p = 0; p < n; ++p)
-                drow[p] += b;
-        }
-    }
-}
-
-void
-QuantTensor::buildPreBiased()
-{
-    if (!qub.empty() || q.empty())
-        return;
-    qub.resize(q.size());
-    const std::uint8_t *src = reinterpret_cast<const std::uint8_t *>(q.data());
-    for (std::size_t i = 0; i < q.size(); ++i)
-        qub[i] = static_cast<std::uint8_t>(src[i] ^ 0x80u);
 }
 
 QuantTensor
@@ -313,8 +221,11 @@ quantizeConvWeightsHwc(const QuantTensor &chw, int cin, int kh, int kw)
         quantize_row(hwc.data(), cols, out.q.data() + co * out.nb * kQuantBlock,
                      out.scales.data() + co * out.nb);
     }
-    if (activeKernels().dotQ8RowUB != nullptr)
-        out.buildPreBiased();
+    // The GEMM kernels are this layout's only reader, so it is kept
+    // packed-only: the resident path holds each weight code once.
+    out.pack();
+    out.q = std::vector<std::int8_t>();
+    out.scales = std::vector<float>();
     return out;
 }
 
@@ -459,27 +370,13 @@ convForwardResident(const QuantActivation &in, int kh, int kw, int stride,
     LECA_CHECK(epi.a == nullptr || epi.b != nullptr,
                "convForwardResident: affine epilogue needs both a and b");
 
-    // gemmQ8's shape-only tiling rules, verbatim: B tile sized to stay
-    // L1-ish, panel chunks in whole multiples of kPanelRowsQ8.
-    std::int64_t tile = (32 << 10) / row_bytes;
-    tile = std::max<std::int64_t>(8, tile & ~std::int64_t(7));
     const std::int64_t chunk = chunkRowsQ8(cout, row_blocks);
 
     // Kernel snapshot before the parallel region, like every hot path.
-    const simd::DotQ8RowFn dot = activeKernels().dotQ8Row;
-    const simd::DotQ8RowUBFn dot_ub = activeKernels().dotQ8RowUB;
+    const simd::GemmQ8PackedFn gemm = activeKernels().gemmQ8Packed;
     const simd::QuantizeRowFn quantize_row = activeKernels().quantizeRow;
     const simd::AffineReluRowFn affine = activeKernels().affineReluRow;
-    // The pre-biased weight codes replace gemmQ8's per-call XOR pass;
-    // only usable when BOTH the cache and the UB dot exist (a
-    // ScopedKernelOverride can remove the latter mid-process). Either
-    // operand form feeds the multiplier the same bytes, so results are
-    // bit-identical.
-    const std::uint8_t *wub = (dot_ub != nullptr && !wq_hwc.qub.empty())
-                                  ? wq_hwc.qub.data()
-                                  : nullptr;
-    const std::int8_t *wq = wq_hwc.q.data();
-    const float *ws = wq_hwc.scales.data();
+    const simd::PackedQ8View wv = wq_hwc.packedView();
 
     parallelFor(0, total, chunk, [&](std::int64_t p0, std::int64_t p1) {
         Arena::Scope scope;
@@ -543,21 +440,7 @@ convForwardResident(const QuantActivation &in, int kh, int kw, int stride,
                     }
                 }
             }
-            // Dot: sweep every weight tile while the panel is hot.
-            for (std::int64_t j0 = 0; j0 < cout; j0 += tile) {
-                const std::int64_t jn = std::min(tile, cout - j0);
-                for (std::int64_t p = pp; p < pe; ++p) {
-                    const std::int64_t r = p - pp;
-                    if (wub != nullptr)
-                        dot_ub(pq + r * row_bytes, ps + r * row_blocks,
-                               wub + j0 * row_bytes, ws + j0 * row_blocks,
-                               row_blocks, jn, pc + r * cout + j0);
-                    else
-                        dot(pq + r * row_bytes, ps + r * row_blocks,
-                            wq + j0 * row_bytes, ws + j0 * row_blocks,
-                            row_blocks, jn, pc + r * cout + j0);
-                }
-            }
+            gemm(pe - pp, pq, ps, wv, pc, cout);
             // Epilogue + exit while each output row is still panel-hot.
             for (std::int64_t p = pp; p < pe; ++p) {
                 float *row = pc + (p - pp) * cout;
@@ -724,24 +607,24 @@ linearForwardQuant(const float *x, std::int64_t m, const QuantTensor &wq,
     const std::int64_t in = wq.cols;
     const std::int64_t out = wq.rows;
     const std::int64_t nb = wq.nb;
-    const std::int8_t *qw = wq.q.data();
-    const float *sw = wq.scales.data();
-    parallelFor(0, m, 1, [&](std::int64_t i0, std::int64_t i1) {
+    const simd::QuantizeRowFn quantize_row = activeKernels().quantizeRow;
+    const simd::GemmQ8PackedFn gemm = activeKernels().gemmQ8Packed;
+    const simd::PackedQ8View wv = wq.packedView();
+    parallelFor(0, m, chunkRowsQ8(out, nb),
+                [&](std::int64_t i0, std::int64_t i1) {
         Arena::Scope scope;
         Arena &arena = Arena::local();
-        const simd::QuantizeRowFn quantize_row = activeKernels().quantizeRow;
-        const simd::DotQ8RowFn dot = activeKernels().dotQ8Row;
         std::int8_t *qx = static_cast<std::int8_t *>(arena.allocBytes(
-            static_cast<std::size_t>(nb * kQuantBlock)));
-        float *sx = arena.alloc(static_cast<std::size_t>(nb));
-        for (std::int64_t i = i0; i < i1; ++i) {
-            quantize_row(x + i * in, in, qx, sx);
-            float *yrow = y + i * out;
-            dot(qx, sx, qw, sw, nb, out, yrow);
-            if (bias)
+            static_cast<std::size_t>((i1 - i0) * nb * kQuantBlock)));
+        float *sx = arena.alloc(static_cast<std::size_t>((i1 - i0) * nb));
+        for (std::int64_t i = i0; i < i1; ++i)
+            quantize_row(x + i * in, in, qx + (i - i0) * nb * kQuantBlock,
+                         sx + (i - i0) * nb);
+        gemm(i1 - i0, qx, sx, wv, y + i0 * out, out);
+        if (bias)
+            for (std::int64_t i = i0; i < i1; ++i)
                 for (std::int64_t j = 0; j < out; ++j)
-                    yrow[j] += bias[j];
-        }
+                    y[i * out + j] += bias[j];
     });
 }
 

@@ -17,9 +17,10 @@
  *
  * Determinism: quantization and the int8 GEMM both route through the
  * dispatched KernelSet (tensor/isa.hh), every variant of which is
- * bit-identical to the scalar reference, and gemmQ8's work
- * decomposition depends only on the problem shape — so quantized
- * inference is bit-identical across LECA_THREADS, batch split, and ISA.
+ * bit-identical to the scalar reference, and every GEMM output element
+ * is one pinned per-block chain (simd.hh, GemmQ8PackedFn) whatever the
+ * row split — so quantized inference is bit-identical across
+ * LECA_THREADS, batch composition, and ISA.
  */
 
 #ifndef LECA_TENSOR_QUANT_HH
@@ -28,6 +29,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "tensor/simd.hh"
 #include "tensor/tensor.hh"
 
 namespace leca {
@@ -41,6 +43,20 @@ quantBlocks(std::int64_t k)
 {
     return (k + kQuantBlock - 1) / kQuantBlock;
 }
+
+/**
+ * The packed GEMM layout of a QuantTensor's codes (simd::PackedQ8View
+ * documents it): 16-column tiles, each 4-code group interleaved across
+ * the tile's lanes, and one scale and one VNNI bias correction per
+ * (column, block). The same for every ISA, so a ScopedKernelOverride
+ * never invalidates it.
+ */
+struct PackedQ8
+{
+    std::vector<std::int8_t> q;
+    std::vector<float> scales;
+    std::vector<std::int32_t> corr;
+};
 
 /**
  * A weight tensor quantized to int8 blocks. Plain owning container —
@@ -57,18 +73,21 @@ struct QuantTensor
     std::vector<std::int8_t> q;  //!< codes, rows × nb × 32, row-major
     std::vector<float> scales;   //!< scales, rows × nb, row-major
     /**
-     * Derived cache, never serialized: the same codes biased by +128
-     * (q XOR 0x80), the unsigned operand layout the VNNI dot wants.
-     * Built once by buildPreBiased() when the active kernel set has a
-     * dotQ8RowUB slot, so resident convs skip the per-call XOR pass
-     * gemmQ8 performs. Empty means "use the signed codes".
+     * Derived cache, never serialized: the same codes in the packed
+     * GEMM layout the int8 kernels read (rows become output columns).
+     * Built once by pack() where a tensor feeds a GEMM — Linear
+     * weights at quantize/plan time, the HWC conv layouts at plan
+     * time (those keep only this form). Empty until then.
      */
-    std::vector<std::uint8_t> qub;
+    PackedQ8 packed;
 
     bool empty() const { return rows == 0; }
 
-    /** Populate qub from q (idempotent; see the member comment). */
-    void buildPreBiased();
+    /** (Re)build `packed` from q and scales (which must be present). */
+    void pack();
+
+    /** Kernel view of `packed`, which must have been built. */
+    simd::PackedQ8View packedView() const;
 
     /** Bytes held by the quantized representation. */
     std::size_t quantBytes() const
@@ -110,33 +129,21 @@ void quantizeRowsInto(const float *src, std::int64_t m, std::int64_t cols,
                       std::int8_t *q, float *scales);
 
 /**
- * C (m×n) = Aq · Bqᵀ over block-quantized operands: row i of Aq dotted
- * against every row j of Bq (both rows × nb blocks). Parallelised over
- * A rows through the deterministic pool; the dotQ8Row kernel pointer is
- * snapshotted before the parallel region.
+ * C (m × wq.rows) = Aq · Wqᵀ: row i of Aq (wq.nb blocks, scales
+ * sa + i·wq.nb) against every weight row, through the packed layout
+ * (wq must be packed). Parallelised over A rows through the
+ * deterministic pool; the kernel pointer is snapshotted before the
+ * parallel region.
  *
- * @param c   m×n output, row stride @p ldc, overwritten
+ * @param c   m × wq.rows output, row stride @p ldc, overwritten
  */
-void gemmQ8(std::int64_t m, std::int64_t n, std::int64_t nb,
-            const std::int8_t *qa, const float *sa,
-            const std::int8_t *qb, const float *sb, float *c,
-            std::int64_t ldc);
-
-/**
- * Quantized convolution forward for one [cin, h, w] image against
- * block-quantized weights @p wq (rows = cout, cols = cin*kh*kw):
- * im2col patches are gathered and quantized on the fly into arena
- * scratch, then gemmQ8 produces dst [cout, OH*OW]. @p bias (or
- * nullptr) is added in a second pass, matching convForwardPacked.
- */
-void convForwardQuant(const float *image, int cin, int h, int w, int kh,
-                      int kw, int stride, int pad, const QuantTensor &wq,
-                      const float *bias, float *dst);
+void gemmQ8(std::int64_t m, const std::int8_t *qa, const float *sa,
+            const QuantTensor &wq, float *c, std::int64_t ldc);
 
 /**
  * Quantized linear forward: y (m×out) = quant(x) · Wqᵀ + bias for
- * row-major x (m × in), Wq rows = out, cols = in. Activations are
- * quantized per row into arena scratch inside the parallel region.
+ * row-major x (m × in), Wq rows = out, cols = in, packed. Activations
+ * are quantized per row into arena scratch inside the parallel region.
  */
 void linearForwardQuant(const float *x, std::int64_t m, const QuantTensor &wq,
                         const float *bias, float *y);
@@ -190,7 +197,9 @@ struct QuantActivation
  *
  * Derived from the CHW CODES (dequantize, permute, requantize), not
  * from the fp32 weights, so quantize() and loadQuantized() produce
- * identical resident inference.
+ * identical resident inference. The result is packed-only: its codes
+ * live in `packed` alone (q and scales are left empty), since the GEMM
+ * kernels are its only reader.
  */
 QuantTensor quantizeConvWeightsHwc(const QuantTensor &chw, int cin, int kh,
                                    int kw);
@@ -242,10 +251,10 @@ void quantizeActivationNchw(const float *x, int n, int c, int h, int w,
  * The resident quantized conv (DESIGN.md §13): im2col over the input's
  * int8 codes — each patch row is kh·kw code/scale span copies gathered
  * straight into a 16-row panel (the gather IS the panel packing; no
- * fp32 materialisation, no requantization) — dotted against HWC-laid
- * weight rows (gemmQ8's tiling; the cached pre-biased codes feed the
- * VNNI dot when available), then the epilogue and ONE of three exits
- * per output pixel row while it is still panel-hot:
+ * fp32 materialisation, no requantization) — multiplied by the packed
+ * HWC weights (@p wq_hwc must be packed) in one GEMM kernel call per
+ * panel, then the epilogue and ONE of three exits per output pixel row
+ * while it is still panel-hot:
  *
  *   - out_q/out_s: quantize once into a resident activation
  *     (rows = n·oh·ow, channel extent = wq_hwc.rows);

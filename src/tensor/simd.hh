@@ -21,11 +21,11 @@
  *    -ffp-contract=off, so scalar, AVX2, AVX-512 and NEON variants are
  *    bit-identical (the policy trades the FMA peak for cross-ISA
  *    reproducibility; the throughput headline comes from int8).
- *  - dotQ8Row: integer group dots are exact in any evaluation order;
- *    the float combine is pinned to the lane structure documented at
- *    the declaration — one correctly-rounded fused multiply-add per
- *    block (fmaf / VFMADD / FMLA compute identical bits), so all
- *    variants are bit-identical.
+ *  - gemmQ8Packed: per-block integer dots are exact in any evaluation
+ *    order; the float combine is one chain per output element — one
+ *    correctly-rounded fused multiply-add per block, ascending blocks,
+ *    starting at +0 (fmaf / VFMADD / FMLA compute identical bits), so
+ *    all variants are bit-identical.
  *  - quantizeRow/dequantizeRow: same absmax reduction (max is exact),
  *    same float divisions, same round-to-nearest-even conversion in
  *    every variant.
@@ -53,43 +53,54 @@ using MicroF32Fn = void (*)(std::int64_t kc, const float *ap,
                             const float *bp, float *c, std::int64_t ldc,
                             int mr, int nr, bool first);
 
-/**
- * One row of the block-quantized GEMM: c[j] = dot(a, B row j) for
- * j in [0, n), where a and every B row are nb 32-element int8 blocks
- * with one fp32 scale per block (tails zero-padded, so padded lanes
- * contribute exactly 0).
- *
- * Pinned evaluation structure (identical in every variant):
- *   - per block b, eight exact int32 "group" dots over elements
- *     [4g, 4g+4) of the block (g = 0..7);
- *   - two banks of eight float accumulators; block b updates bank
- *     (b & 1), lane g, as acc = fma(sa[b]*sb[b], float(group[g]), acc)
- *     — always fused: FMA is correctly rounded, so std::fmaf, VFMADD
- *     and FMLA produce the same bits on every ISA (unlike separate
- *     mul+add this also halves the FP-port traffic per block);
- *   - final reduction v[g] = bank0[g] + bank1[g];
- *     t[g] = v[g] + v[g+4]; u[g] = t[g] + t[g+2]; result u[0] + u[1].
- * This is exactly the shape a 256-bit lane reduction produces, so the
- * scalar reference and the SIMD variants agree bit for bit.
- */
-using DotQ8RowFn = void (*)(const std::int8_t *qa, const float *sa,
-                            const std::int8_t *qb, const float *sb,
-                            std::int64_t nb, std::int64_t n, float *c);
+/** Output columns per packed weight tile (one zmm of int32 lanes). */
+inline constexpr std::int64_t kPackedQ8Cols = 16;
 
 /**
- * dotQ8Row against a B matrix whose bytes were pre-biased by +128
- * (b XOR 0x80, i.e. reinterpreted as the unsigned operand VPDPBUSD
- * wants). Bit-identical results to DotQ8RowFn on the un-biased bytes —
- * it merely skips the per-(block, row) XOR, which matters because
- * gemmQ8 reuses every B row across all m A rows and can hoist the
- * bias to one pass over B. Optional: only ISAs whose int8 kernel
- * needs an unsigned operand (VNNI) provide it; a null slot means
- * "no benefit here, use dotQ8Row".
+ * Read-only view of block-quantized weights in the packed GEMM layout
+ * (built by QuantTensor::pack, tensor/quant.cc). Weight row j of the
+ * [n, nb·32] code matrix is output column j of the GEMM. Columns are
+ * grouped into tiles of kPackedQ8Cols; within a tile, for block b and
+ * 4-code group g (g = 0..7), the 16 columns' 4-byte groups sit side by
+ * side, so one 64-byte load is the 16-lane operand of one VPDPBUSD:
+ *
+ *   q      [tile][b][g][lane][4]  codes (int8, never -128)
+ *   scales [tile][b][lane]        per-(column, block) scale
+ *   corr   [tile][b][lane]        -128 · Σ codes of the (column, block)
+ *
+ * Lanes past n hold zero codes, scales and corrections. The layout is
+ * the same for every ISA; corr only serves kernels that bias the A
+ * operand to unsigned bytes (VNNI): Σ (a+128)·w + corr = Σ a·w.
  */
-using DotQ8RowUBFn = void (*)(const std::int8_t *qa, const float *sa,
-                              const std::uint8_t *qb_biased,
-                              const float *sb, std::int64_t nb,
-                              std::int64_t n, float *c);
+struct PackedQ8View
+{
+    const std::int8_t *q;
+    const float *scales;
+    const std::int32_t *corr;
+    std::int64_t n;  //!< live output columns
+    std::int64_t nb; //!< 32-element blocks per column
+};
+
+/**
+ * Block-quantized GEMM over packed weights: c[i·ldc + j] for i < m,
+ * j < b.n, where A row i is nb 32-element int8 blocks at qa + i·nb·32
+ * with scales sa + i·nb (tails zero-padded, so padded lanes contribute
+ * exactly 0).
+ *
+ * Pinned evaluation contract (identical in every variant):
+ *   - per block b, the exact int32 dot d_b over its 32 elements —
+ *     exact in float too, since |d_b| <= 32·127·127 < 2^24;
+ *   - one float chain per output element, starting at +0, over blocks
+ *     in ascending order: acc = fmaf(sa[b]·sb[b], float(d_b), acc),
+ *     where sa[b]·sb[b] is the correctly-rounded float product and the
+ *     update is fused (FMA is correctly rounded, so std::fmaf, VFMADD
+ *     and FMLA produce the same bits on every ISA).
+ * Nothing else is rounded, so how a variant tiles rows and columns, or
+ * how the caller splits rows across threads, never changes a bit.
+ */
+using GemmQ8PackedFn = void (*)(std::int64_t m, const std::int8_t *qa,
+                                const float *sa, const PackedQ8View &b,
+                                float *c, std::int64_t ldc);
 
 /**
  * Quantize k floats into ceil(k/32) symmetric int8 blocks:
@@ -127,9 +138,9 @@ namespace detail {
 void microF32Scalar(std::int64_t kc, const float *ap, const float *bp,
                     float *c, std::int64_t ldc, int mr, int nr,
                     bool first);
-void dotQ8RowScalar(const std::int8_t *qa, const float *sa,
-                    const std::int8_t *qb, const float *sb,
-                    std::int64_t nb, std::int64_t n, float *c);
+void gemmQ8PackedScalar(std::int64_t m, const std::int8_t *qa,
+                        const float *sa, const PackedQ8View &b, float *c,
+                        std::int64_t ldc);
 void quantizeRowScalar(const float *src, std::int64_t k, std::int8_t *q,
                        float *scales);
 void dequantizeRowScalar(const std::int8_t *q, const float *scales,
@@ -137,14 +148,15 @@ void dequantizeRowScalar(const std::int8_t *q, const float *scales,
 void affineReluRowScalar(const float *src, const float *a, const float *b,
                          std::int64_t k, bool relu, float *dst);
 
-// AVX2 (kernels_avx2.cc; VPMADDUBSW int8 path via the sign trick —
-// quantization never emits -128, so pair sums stay below the s16
-// saturation point).
+// AVX2 (kernels_avx2.cc; VPMADDUBSW int8 path via the sign trick on
+// signed A and unbiased B — quantization never emits -128, so pair
+// sums stay below the s16 saturation point). Also the int8 GEMM of
+// AVX-512 hosts without VNNI.
 void microF32Avx2(std::int64_t kc, const float *ap, const float *bp,
                   float *c, std::int64_t ldc, int mr, int nr, bool first);
-void dotQ8RowAvx2(const std::int8_t *qa, const float *sa,
-                  const std::int8_t *qb, const float *sb,
-                  std::int64_t nb, std::int64_t n, float *c);
+void gemmQ8PackedAvx2(std::int64_t m, const std::int8_t *qa,
+                      const float *sa, const PackedQ8View &b, float *c,
+                      std::int64_t ldc);
 void quantizeRowAvx2(const float *src, std::int64_t k, std::int8_t *q,
                      float *scales);
 void dequantizeRowAvx2(const std::int8_t *q, const float *scales,
@@ -152,7 +164,7 @@ void dequantizeRowAvx2(const std::int8_t *q, const float *scales,
 void affineReluRowAvx2(const float *src, const float *a, const float *b,
                        std::int64_t k, bool relu, float *dst);
 
-// AVX-512 F/BW/VL (kernels_avx512.cc). The int8 dot has no AVX-512
+// AVX-512 F/BW/VL (kernels_avx512.cc). The int8 GEMM has no AVX-512
 // implementation without VNNI — isa.cc falls back to the AVX2 one.
 void microF32Avx512(std::int64_t kc, const float *ap, const float *bp,
                     float *c, std::int64_t ldc, int mr, int nr,
@@ -164,22 +176,16 @@ void dequantizeRowAvx512(const std::int8_t *q, const float *scales,
 void affineReluRowAvx512(const float *src, const float *a, const float *b,
                          std::int64_t k, bool relu, float *dst);
 
-// AVX-512 VNNI (kernels_avx512vnni.cc): VPDPBUSD with the in-register
-// +128 bias and per-group correction term.
-void dotQ8RowVnni(const std::int8_t *qa, const float *sa,
-                  const std::int8_t *qb, const float *sb,
-                  std::int64_t nb, std::int64_t n, float *c);
-void dotQ8RowUBVnni(const std::int8_t *qa, const float *sa,
-                    const std::uint8_t *qb_biased, const float *sb,
-                    std::int64_t nb, std::int64_t n, float *c);
+// AVX-512 VNNI (kernels_avx512vnni.cc): VPDPBUSD with A biased to
+// unsigned bytes and the packed per-(column, block) correction.
+void gemmQ8PackedVnni(std::int64_t m, const std::int8_t *qa,
+                      const float *sa, const PackedQ8View &b, float *c,
+                      std::int64_t ldc);
 
-// NEON / AArch64 (kernels_neon.cc): SDOT when the build targets the
-// dotprod extension, widening SMULL/SMLAL pairwise sums otherwise.
+// NEON / AArch64 (kernels_neon.cc). The int8 GEMM slot is the scalar
+// reference (no SDOT kernel until an aarch64 host can verify one).
 void microF32Neon(std::int64_t kc, const float *ap, const float *bp,
                   float *c, std::int64_t ldc, int mr, int nr, bool first);
-void dotQ8RowNeon(const std::int8_t *qa, const float *sa,
-                  const std::int8_t *qb, const float *sb,
-                  std::int64_t nb, std::int64_t n, float *c);
 void affineReluRowNeon(const float *src, const float *a, const float *b,
                        std::int64_t k, bool relu, float *dst);
 
@@ -198,14 +204,11 @@ struct KernelSet
     const char *name;              //!< "scalar" | "avx2" | "avx512" | "neon"
     Isa isa;
     simd::MicroF32Fn microF32;
-    simd::DotQ8RowFn dotQ8Row;
+    simd::GemmQ8PackedFn gemmQ8Packed;
     simd::QuantizeRowFn quantizeRow;
     simd::DequantizeRowFn dequantizeRow;
     double f32FlopsPerCycle;       //!< theoretical fp32 flops/cycle/core
     double i8MacsPerCycle;         //!< theoretical int8 MACs/cycle/core
-    //! Pre-biased-B dot (see DotQ8RowUBFn); null when dotQ8Row is
-    //! already optimal on raw signed bytes.
-    simd::DotQ8RowUBFn dotQ8RowUB = nullptr;
     //! Resident-activation epilogue (see AffineReluRowFn); every
     //! compiled-in set provides one.
     simd::AffineReluRowFn affineReluRow = nullptr;

@@ -1,13 +1,13 @@
 /**
  * @file
  * The int8 block-quantization contract (DESIGN.md §12): the code
- * format's invariants (range, padding, round-trip error), bit-exact
- * agreement of every compiled kernel set with the scalar reference at
- * adversarial shapes, bit-exact agreement of the pre-biased VNNI dot
- * with the plain one, determinism across thread counts, closeness of
- * quantized layer forwards to fp32, the eval-only restriction, the
- * quantized checkpoint round-trip, and heap-silence of the warm
- * quantized serving path.
+ * format's invariants (range, padding, round-trip error), the scalar
+ * packed GEMM against an independent naive statement of the per-block
+ * contract, bit-exact agreement of every compiled kernel set with the
+ * scalar reference at adversarial shapes, determinism across thread
+ * counts, closeness of quantized layer forwards to fp32, the eval-only
+ * restriction, the quantized checkpoint round-trip, and heap-silence
+ * of the warm quantized serving path.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 
 #include "data/serialize.hh"
 #include "nn/conv.hh"
+#include "nn/sequential.hh"
 #include "nn/linear.hh"
 #include "tensor/isa.hh"
 #include "tensor/quant.hh"
@@ -58,13 +59,8 @@ struct QuantGemmShape
     std::int64_t m, n, k;
 };
 
-/**
- * Adversarial shapes for the quantized GEMM: single rows/columns on
- * both sides, k below / at / just past one 32-element block (nb = 1
- * and odd nb exercise the kernels' odd-tail path), n straddling the
- * 4- and 8-row blocking of the VNNI kernel and gemmQ8's B-tile width,
- * and m straddling gemmQ8's 16-row A panel.
- */
+/** Shapes for the quantization agreement check: k below / at / just
+ *  past one 32-element block, single rows and wide ones. */
 const QuantGemmShape kQuantShapes[] = {
     {1, 1, 1},      {1, 1, 32},    {1, 7, 31},    {3, 1, 33},
     {2, 9, 64},     {5, 8, 96},    {4, 23, 160},  {15, 31, 65},
@@ -73,20 +69,68 @@ const QuantGemmShape kQuantShapes[] = {
 
 void
 quantPair(const QuantGemmShape &s, std::vector<std::int8_t> &qa,
-          std::vector<float> &sa, std::vector<std::int8_t> &qb,
-          std::vector<float> &sb, std::int64_t &nb)
+          std::vector<float> &sa, QuantTensor &wq)
 {
-    nb = quantBlocks(s.k);
+    const std::int64_t nb = quantBlocks(s.k);
     qa.assign(static_cast<std::size_t>(s.m * nb * kQuantBlock), 0);
     sa.assign(static_cast<std::size_t>(s.m * nb), 0.0f);
-    qb.assign(static_cast<std::size_t>(s.n * nb * kQuantBlock), 0);
-    sb.assign(static_cast<std::size_t>(s.n * nb), 0.0f);
     const std::vector<float> a =
         randomVec(static_cast<std::size_t>(s.m * s.k), 11 * s.m + s.k);
-    const std::vector<float> b =
-        randomVec(static_cast<std::size_t>(s.n * s.k), 13 * s.n + s.k);
     quantizeRowsInto(a.data(), s.m, s.k, qa.data(), sa.data());
-    quantizeRowsInto(b.data(), s.n, s.k, qb.data(), sb.data());
+    wq = quantizeRowMajor(
+        Tensor::fromData({static_cast<int>(s.n), static_cast<int>(s.k)},
+                         randomVec(static_cast<std::size_t>(s.n * s.k),
+                                   13 * s.n + s.k)),
+        s.n, s.k);
+    wq.pack();
+}
+
+/**
+ * Adversarial int8 operands for the GEMM kernels, drawn straight as
+ * codes and scales: random blocks, blocks of all ±127 (|d_b| at its
+ * 32·127·127 maximum, both signs), and blocks whose scale is zero.
+ */
+struct Q8Operands
+{
+    std::vector<std::int8_t> qa;
+    std::vector<float> sa;
+    QuantTensor w;
+};
+
+Q8Operands
+adversarialOperands(std::int64_t m, std::int64_t n, std::int64_t nb,
+                    std::uint64_t seed)
+{
+    Rng rng(seed);
+    const auto fill = [&](std::int64_t rows, std::vector<std::int8_t> &q,
+                          std::vector<float> &scales) {
+        q.assign(static_cast<std::size_t>(rows * nb * kQuantBlock), 0);
+        scales.assign(static_cast<std::size_t>(rows * nb), 0.0f);
+        for (std::int64_t r = 0; r < rows; ++r)
+            for (std::int64_t b = 0; b < nb; ++b) {
+                const int kind = static_cast<int>(rng.uniform(0.0, 8.0));
+                std::int8_t *blk = q.data() + (r * nb + b) * kQuantBlock;
+                for (std::int64_t t = 0; t < kQuantBlock; ++t)
+                    blk[t] = kind == 0   ? 127
+                             : kind == 1 ? -127
+                                         : static_cast<std::int8_t>(
+                                               rng.uniform(-127.49, 127.49));
+                scales[static_cast<std::size_t>(r * nb + b)] =
+                    kind == 2 ? 0.0f
+                              : static_cast<float>(
+                                    rng.uniform(1e-4, 1.0)
+                                    * (kind == 3 ? 1e3 : 1.0));
+            }
+    };
+    Q8Operands op;
+    fill(m, op.qa, op.sa);
+    op.w.shape = {static_cast<int>(n), static_cast<int>(nb * kQuantBlock)};
+    op.w.rows = n;
+    op.w.cols = nb * kQuantBlock;
+    op.w.nb = nb;
+    fill(n, op.w.q, op.w.scales);
+    op.w.pack();
+    return op;
 }
 
 TEST_F(QuantTest, RoundTripErrorBoundedByBlockScale)
@@ -124,30 +168,61 @@ TEST_F(QuantTest, CodesStayInSymmetricRangeAndPaddingIsZero)
         }
 }
 
+TEST_F(QuantTest, ScalarGemmMatchesNaivePerBlockChain)
+{
+    // The contract written independently of the packed layout: exact
+    // int64 block sums over the row-major codes, then one fmaf per
+    // block from +0 in ascending block order.
+    const KernelSet *scalar = kernelSetByName("scalar");
+    ASSERT_NE(scalar, nullptr);
+    const std::int64_t m = 5, n = 19, nb = 9;
+    const Q8Operands op = adversarialOperands(m, n, nb, 71);
+    std::vector<float> got(static_cast<std::size_t>(m * n), -1.0f);
+    scalar->gemmQ8Packed(m, op.qa.data(), op.sa.data(), op.w.packedView(),
+                         got.data(), n);
+    for (std::int64_t i = 0; i < m; ++i)
+        for (std::int64_t j = 0; j < n; ++j) {
+            float acc = 0.0f;
+            for (std::int64_t b = 0; b < nb; ++b) {
+                std::int64_t d = 0;
+                for (std::int64_t t = 0; t < kQuantBlock; ++t)
+                    d += static_cast<std::int64_t>(
+                             op.qa[static_cast<std::size_t>(
+                                 (i * nb + b) * kQuantBlock + t)])
+                         * op.w.q[static_cast<std::size_t>(
+                             (j * nb + b) * kQuantBlock + t)];
+                const float s = op.sa[static_cast<std::size_t>(i * nb + b)]
+                                * op.w.scales[static_cast<std::size_t>(
+                                    j * nb + b)];
+                acc = std::fmaf(s, static_cast<float>(d), acc);
+            }
+            const float g = got[static_cast<std::size_t>(i * n + j)];
+            EXPECT_EQ(0, std::memcmp(&g, &acc, sizeof(float)))
+                << "i=" << i << " j=" << j << ": " << g << " vs " << acc;
+        }
+}
+
 TEST_F(QuantTest, EveryCompiledKernelSetMatchesScalarBitForBit)
 {
     const KernelSet *scalar = kernelSetByName("scalar");
     ASSERT_NE(scalar, nullptr);
+    // Quantization itself must agree bit for bit across sets.
     for (const QuantGemmShape &s : kQuantShapes) {
-        std::vector<std::int8_t> qa, qb;
-        std::vector<float> sa, sb;
-        std::int64_t nb = 0;
-
-        // Quantization itself must agree bit for bit before the GEMM
-        // comparison means anything.
+        std::vector<std::int8_t> qa;
+        std::vector<float> sa;
+        QuantTensor wq;
         {
             ScopedKernelOverride force(*scalar);
-            quantPair(s, qa, sa, qb, sb, nb);
+            quantPair(s, qa, sa, wq);
         }
         for (const KernelSet *set : compiledKernelSets()) {
             if (!hostSupportsKernelSet(*set))
                 continue;
             ScopedKernelOverride force(*set);
-            std::vector<std::int8_t> qa2, qb2;
-            std::vector<float> sa2, sb2;
-            std::int64_t nb2 = 0;
-            quantPair(s, qa2, sa2, qb2, sb2, nb2);
-            ASSERT_EQ(nb2, nb);
+            std::vector<std::int8_t> qa2;
+            std::vector<float> sa2;
+            QuantTensor wq2;
+            quantPair(s, qa2, sa2, wq2);
             EXPECT_EQ(0, std::memcmp(qa2.data(), qa.data(), qa.size()))
                 << set->name << " codes diverge at m=" << s.m
                 << " k=" << s.k;
@@ -155,72 +230,60 @@ TEST_F(QuantTest, EveryCompiledKernelSetMatchesScalarBitForBit)
                                      sa.size() * sizeof(float)))
                 << set->name << " scales diverge at m=" << s.m
                 << " k=" << s.k;
-        }
-
-        std::vector<float> want(static_cast<std::size_t>(s.m * s.n));
-        {
-            ScopedKernelOverride force(*scalar);
-            gemmQ8(s.m, s.n, nb, qa.data(), sa.data(), qb.data(),
-                   sb.data(), want.data(), s.n);
-        }
-        for (const KernelSet *set : compiledKernelSets()) {
-            if (!hostSupportsKernelSet(*set))
-                continue;
-            ScopedKernelOverride force(*set);
-            std::vector<float> got(want.size(), -1.0f);
-            gemmQ8(s.m, s.n, nb, qa.data(), sa.data(), qb.data(),
-                   sb.data(), got.data(), s.n);
-            EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
-                                     want.size() * sizeof(float)))
-                << set->name << " diverges from scalar at m=" << s.m
-                << " n=" << s.n << " k=" << s.k;
+            EXPECT_EQ(wq2.q, wq.q) << set->name << " weight codes diverge";
         }
     }
-}
-
-TEST_F(QuantTest, PreBiasedDotMatchesPlainDotBitForBit)
-{
-    const simd::DotQ8RowFn dot = activeKernels().dotQ8Row;
-    const simd::DotQ8RowUBFn dot_ub = activeKernels().dotQ8RowUB;
-    if (dot_ub == nullptr)
-        GTEST_SKIP() << "active kernel set has no pre-biased dot";
-    for (const QuantGemmShape &s : kQuantShapes) {
-        std::vector<std::int8_t> qa, qb;
-        std::vector<float> sa, sb;
-        std::int64_t nb = 0;
-        quantPair(s, qa, sa, qb, sb, nb);
-        std::vector<std::uint8_t> ub(qb.size());
-        for (std::size_t i = 0; i < qb.size(); ++i)
-            ub[i] = static_cast<std::uint8_t>(
-                static_cast<std::uint8_t>(qb[i]) ^ 0x80u);
-        std::vector<float> plain(static_cast<std::size_t>(s.n));
-        std::vector<float> biased(static_cast<std::size_t>(s.n), -1.0f);
-        dot(qa.data(), sa.data(), qb.data(), sb.data(), nb, s.n,
-            plain.data());
-        dot_ub(qa.data(), sa.data(), ub.data(), sb.data(), nb, s.n,
-               biased.data());
-        EXPECT_EQ(0, std::memcmp(biased.data(), plain.data(),
-                                 plain.size() * sizeof(float)))
-            << "n=" << s.n << " k=" << s.k;
-    }
+    // The GEMM slot: n below / at / past one 16-column tile and two; m
+    // straddling the 2- and 4-row register tiles and the 16-row panel;
+    // nb from one block to past the VNNI kernel's 32-block staging
+    // chunk.
+    // c has a wider stride than n, so a kernel writing past the live
+    // columns would clobber the sentinel gap.
+    const std::int64_t ns[] = {1, 3, 15, 16, 17, 33, 128};
+    const std::int64_t ms[] = {1, 2, 3, 4, 5, 7, 15, 16, 17, 33};
+    const std::int64_t nbs[] = {1, 2, 9, 18, 36};
+    std::uint64_t seed = 1;
+    for (const std::int64_t n : ns)
+        for (const std::int64_t m : ms)
+            for (const std::int64_t nb : nbs) {
+                const Q8Operands op = adversarialOperands(m, n, nb, seed++);
+                const std::int64_t ldc = n + 3;
+                std::vector<float> want(static_cast<std::size_t>(m * ldc),
+                                        -7.0f);
+                scalar->gemmQ8Packed(m, op.qa.data(), op.sa.data(),
+                                     op.w.packedView(), want.data(), ldc);
+                for (std::int64_t i = 0; i < m; ++i)
+                    for (std::int64_t j = n; j < ldc; ++j)
+                        ASSERT_EQ(want[static_cast<std::size_t>(i * ldc + j)],
+                                  -7.0f);
+                for (const KernelSet *set : compiledKernelSets()) {
+                    if (!hostSupportsKernelSet(*set))
+                        continue;
+                    std::vector<float> got(want.size(), -7.0f);
+                    set->gemmQ8Packed(m, op.qa.data(), op.sa.data(),
+                                      op.w.packedView(), got.data(), ldc);
+                    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                             want.size() * sizeof(float)))
+                        << set->name << " diverges from scalar at m=" << m
+                        << " n=" << n << " nb=" << nb;
+                }
+            }
 }
 
 TEST_F(QuantTest, GemmQ8DeterministicAcrossThreadCounts)
 {
     const QuantGemmShape s = {33, 57, 160};
-    std::vector<std::int8_t> qa, qb;
-    std::vector<float> sa, sb;
-    std::int64_t nb = 0;
-    quantPair(s, qa, sa, qb, sb, nb);
+    std::vector<std::int8_t> qa;
+    std::vector<float> sa;
+    QuantTensor wq;
+    quantPair(s, qa, sa, wq);
     setThreadCount(1);
     std::vector<float> base(static_cast<std::size_t>(s.m * s.n));
-    gemmQ8(s.m, s.n, nb, qa.data(), sa.data(), qb.data(), sb.data(),
-           base.data(), s.n);
+    gemmQ8(s.m, qa.data(), sa.data(), wq, base.data(), s.n);
     for (int threads : {2, 4, 8}) {
         setThreadCount(threads);
         std::vector<float> got(base.size(), -1.0f);
-        gemmQ8(s.m, s.n, nb, qa.data(), sa.data(), qb.data(), sb.data(),
-               got.data(), s.n);
+        gemmQ8(s.m, qa.data(), sa.data(), wq, got.data(), s.n);
         EXPECT_EQ(0, std::memcmp(got.data(), base.data(),
                                  base.size() * sizeof(float)))
             << "threads=" << threads;
@@ -234,13 +297,14 @@ TEST_F(QuantTest, GemmQ8TracksFp32WithinQuantizationError)
     const std::vector<float> b = randomVec(static_cast<std::size_t>(n * k), 8);
     const std::int64_t nb = quantBlocks(k);
     std::vector<std::int8_t> qa(static_cast<std::size_t>(m * nb * kQuantBlock));
-    std::vector<std::int8_t> qb(static_cast<std::size_t>(n * nb * kQuantBlock));
     std::vector<float> sa(static_cast<std::size_t>(m * nb));
-    std::vector<float> sb(static_cast<std::size_t>(n * nb));
     quantizeRowsInto(a.data(), m, k, qa.data(), sa.data());
-    quantizeRowsInto(b.data(), n, k, qb.data(), sb.data());
+    QuantTensor wq = quantizeRowMajor(
+        Tensor::fromData({static_cast<int>(n), static_cast<int>(k)}, b), n,
+        k);
+    wq.pack();
     std::vector<float> c(static_cast<std::size_t>(m * n));
-    gemmQ8(m, n, nb, qa.data(), sa.data(), qb.data(), sb.data(), c.data(), n);
+    gemmQ8(m, qa.data(), sa.data(), wq, c.data(), n);
     for (std::int64_t i = 0; i < m; ++i)
         for (std::int64_t j = 0; j < n; ++j) {
             double want = 0.0;
@@ -360,35 +424,41 @@ TEST_F(QuantTest, WarmQuantizedForwardRunsUnderDenyAllocScope)
         GTEST_SKIP() << "built without LECA_ALLOC_GUARD";
     setThreadCount(2);
     Rng rng(59);
-    Conv2d conv(8, 16, 3, 1, 1, true, rng);
+    Sequential net;
+    Conv2d &conv = net.emplace<Conv2d>(32, 16, 3, 1, 1, true, rng);
     Linear fc(64, 8, rng);
     std::vector<QuantStat> stats;
-    conv.quantizeWeights(stats);
+    net.quantizeWeights(stats); // plans conv resident
     fc.quantizeWeights(stats);
-    Tensor xc = Tensor::fromData(
-        {2, 8, 12, 12},
-        randomVec(static_cast<std::size_t>(2) * 8 * 12 * 12, 61));
+    ASSERT_TRUE(net.hasQuantPlan());
+    const int n = 2, h = 12, w = 12;
+    const std::vector<float> xc =
+        randomVec(static_cast<std::size_t>(n) * 32 * h * w, 61);
     Tensor xl = Tensor::fromData({4, 64},
                                  randomVec(static_cast<std::size_t>(4) * 64,
                                            62));
-    const std::int64_t kdim = 8 * 3 * 3, n_out = 12 * 12;
-    const std::int64_t nb = quantBlocks(kdim);
-    std::vector<float> dst(static_cast<std::size_t>(16 * n_out));
-    for (int i = 0; i < 3; ++i) {
-        conv.forward(xc, Mode::Eval);
-        fc.forward(xl, Mode::Eval);
-    }
-    (void)nb;
     // Tensors returned by forward() heap-allocate their storage by
     // design, so the deny window covers the raw serving entry points
     // (arena scratch only) rather than the Tensor factory.
-    const float *img = xc.data();
-    const QuantTensor &wq = *conv.quantTensors()[0];
+    const std::int64_t rows = static_cast<std::int64_t>(n) * h * w;
+    std::vector<std::int8_t> in_q(
+        static_cast<std::size_t>(rows * quantPadded(32)));
+    std::vector<float> in_s(static_cast<std::size_t>(rows * quantBlocks(32)));
+    std::vector<std::int8_t> out_q(
+        static_cast<std::size_t>(rows * quantPadded(16)));
+    std::vector<float> out_s(static_cast<std::size_t>(rows * quantBlocks(16)));
+    const QuantActivation act{n, 32, h, w, in_q.data(), in_s.data()};
     const QuantTensor &wql = *fc.quantTensors()[0];
     std::vector<float> yl(static_cast<std::size_t>(4) * 8);
+    const auto serve = [&] {
+        quantizeActivationNchw(xc.data(), n, 32, h, w, in_q.data(),
+                               in_s.data());
+        convForwardResident(act, 3, 3, 1, 1, conv.qweightHwc(),
+                            ResidentEpilogue{}, out_q.data(), out_s.data(),
+                            nullptr, nullptr);
+    };
     for (int i = 0; i < 3; ++i) {
-        convForwardQuant(img, 8, 12, 12, 3, 3, 1, 1, wq, nullptr,
-                         dst.data());
+        serve();
         linearForwardQuant(xl.data(), 4, wql, nullptr, yl.data());
     }
     // Deterministically warm every pool worker's arena: a worker that
@@ -398,10 +468,9 @@ TEST_F(QuantTest, WarmQuantizedForwardRunsUnderDenyAllocScope)
     {
         DenyAllocScope deny;
         for (int i = 0; i < 5; ++i)
-            convForwardQuant(img, 8, 12, 12, 3, 3, 1, 1, wq, nullptr,
-                             dst.data());
+            serve();
         EXPECT_EQ(deny.violations(), 0u)
-            << "warm quantized conv forward allocated on the heap";
+            << "warm resident quantized conv forward allocated on the heap";
     }
     {
         DenyAllocScope deny;
@@ -422,8 +491,6 @@ TEST_F(QuantTest, KernelSetLookupAndOverride)
     {
         ScopedKernelOverride force(*scalar);
         EXPECT_EQ(&activeKernels(), scalar);
-        EXPECT_EQ(activeKernels().dotQ8RowUB, nullptr)
-            << "scalar set must not advertise a pre-biased dot";
     }
     // Override restored on scope exit.
     EXPECT_TRUE(hostSupportsKernelSet(activeKernels()));

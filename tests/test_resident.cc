@@ -166,7 +166,7 @@ TEST_F(ResidentTest, ResidentConvTracksFp32Conv)
     (void)epi;
     ASSERT_EQ(y8.numel(), y32.numel());
     // Both weights AND activations carry code error here, so the band
-    // is wider than the weight-only per-patch path's.
+    // is wider than a weight-only quantized conv's.
     for (std::size_t i = 0; i < y8.numel(); ++i)
         EXPECT_NEAR(y8[i], y32[i], 0.25) << "element " << i;
 }
@@ -233,8 +233,8 @@ TEST_F(ResidentTest, ResidentConvEveryCompiledKernelSetMatchesScalar)
         if (!hostSupportsKernelSet(*set))
             continue;
         ScopedKernelOverride force(*set);
-        // Re-plan under the override so the pre-biased cache matches
-        // the set's dot availability, like a real plan would.
+        // Re-plan under the override, like a real plan would; the
+        // packed layout itself is the same for every set.
         conv.prepareResident();
         const ResidentBuffers rb = makeResident(x);
         std::vector<std::int8_t> got_q;
@@ -318,8 +318,8 @@ TEST_F(ResidentTest, PoolWithoutResidentProducerStaysPlain)
 {
     Rng rng(151);
     Sequential net;
-    // The narrow stem stays per-patch (cin < kResidentMinCin), so the
-    // pool behind it must NOT expect codes.
+    // The narrow stem stays fp32 (cin < kResidentMinCin), so the pool
+    // behind it must NOT expect codes.
     net.emplace<Conv2d>(3, 24, 3, 1, 1, false, rng);
     net.emplace<MaxPool2d>(2);
     net.emplace<Conv2d>(24, 24, 3, 1, 1, false, rng);
