@@ -433,8 +433,10 @@ compareQuantKernels(leca::bench::JsonReport &report)
 
 /**
  * Per-layer-shape conv comparison at every Full-backbone conv shape
- * (the 48x48 serving geometry): fp32 packed conv vs the resident int8
- * path (codes in, codes out). The resident column times
+ * and the decoder's convs (the 48x48 serving geometry): the fp32 conv
+ * (the direct conv where convUsesDirect takes the shape, else the
+ * packed im2col GEMM) vs the resident int8 path (codes in, codes
+ * out). The resident column times
  * convForwardResident with quantize-on-exit from an already-resident
  * input — the mid-chain steady state — so the two columns are the two
  * ways the serving pipeline could run that layer.
@@ -450,8 +452,9 @@ compareConvPaths(leca::bench::JsonReport &report)
         int cin, cout, k, stride, pad, hw;
     };
     // One row per distinct conv shape in the Full backbone at 48x48,
-    // plus the decoder's 64->3 head (576-wide patches against only 3
-    // output columns).
+    // plus the F=64 decoder's convs: its 3->3 DnCNN taps, the 3->64
+    // widening conv and the 64->3 head (576-wide patches against only
+    // 3 output columns).
     const Shape shapes[] = {
         {"conv_3x48_c32", 3, 32, 3, 1, 1, 48},      // stem (narrow)
         {"conv_32x48_c32", 32, 32, 3, 1, 1, 48},    // rb1
@@ -460,6 +463,8 @@ compareConvPaths(leca::bench::JsonReport &report)
         {"conv_64x24_c128_s2", 64, 128, 3, 2, 1, 24}, // rb4.conv1
         {"conv_128x12_c128", 128, 128, 3, 1, 1, 12},  // rb4.conv2
         {"conv_128x12_c128_s2", 128, 128, 3, 2, 1, 12}, // rb5.conv1
+        {"conv_3x48_c3_dec", 3, 3, 3, 1, 1, 48},    // decoder DnCNN tap
+        {"conv_3x48_c64_dec", 3, 64, 3, 1, 1, 48},  // decoder 3->F
         {"conv_64x48_c3_dec", 64, 3, 3, 1, 1, 48},  // decoder head
     };
     const int batch = 8; // the serving maxBatch

@@ -10,6 +10,11 @@
  *   - per-layer weight sizes and max-abs reconstruction error
  *   - max logit divergence between the fp32 and int8 forwards
  *   - overall weight compression ratio
+ *   - a serving-geometry line: the untrained servebench model (Full
+ *     backbone, F=64 decoder, 48x48, its fixed model seeds) quantized
+ *     vs its fp32 twin on 64 fixed frames — max |logit int8 - fp32|
+ *     and top-1 agreement. The proxy pipeline's 12->3 decoder head
+ *     never reaches the narrow-output planner rule; this one does.
  *
  * Flags: --max-delta PTS  fail (exit 1) if int8 costs more top-1
  *                         points than this          (default 1.0)
@@ -18,6 +23,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -58,6 +64,60 @@ logitDivergence(LecaPipeline &pipeline, const Tensor &fp32_logits,
         worst = worst > d ? worst : d;
     }
     return worst;
+}
+
+/** Max |int8 - fp32| logit and top-1 agreement of the servebench
+ *  serve_int8_full48 model against its fp32 twin, no training. */
+void
+servingGeometryLine(leca::bench::JsonReport &report)
+{
+    constexpr int kFrames = 64, kHw = 48, kClasses = 4;
+    const auto make = [] {
+        // The servebench model: fixed seeds, so the model is the same
+        // on every run (servebench/src/serve_workload.cc makePipeline).
+        LecaConfig cfg;
+        cfg.qbits = QBits(3.0);
+        cfg.nch = 8;
+        cfg.decoderDncnnLayers = 3;
+        cfg.decoderFilters = 64;
+        Rng rng(3);
+        LecaPipeline::Options options;
+        options.leca = cfg;
+        options.seed = 21;
+        return std::make_unique<LecaPipeline>(
+            options, makeBackbone(BackboneStyle::Full, 3, kClasses, rng));
+    };
+    SyntheticVision::Config vcfg;
+    vcfg.resolution = kHw;
+    vcfg.seed = 601;
+    const Dataset frames = SyntheticVision(vcfg).generate(kFrames, 17);
+    const Tensor batch = Tensor::borrow({kFrames, 3, kHw, kHw},
+                                        frames.images.data());
+    auto twin = make();
+    const Tensor fp32 = twin->forward(batch, Mode::Eval);
+    auto quant = make();
+    quant->quantize();
+    const Tensor int8 = quant->forward(batch, Mode::Eval);
+    float worst = 0.0f;
+    int agree = 0;
+    for (int i = 0; i < kFrames; ++i) {
+        const float *a = fp32.data() + i * kClasses;
+        const float *b = int8.data() + i * kClasses;
+        int arg_a = 0, arg_b = 0;
+        for (int c = 0; c < kClasses; ++c) {
+            worst = std::max(worst, std::fabs(a[c] - b[c]));
+            arg_a = a[c] > a[arg_a] ? c : arg_a;
+            arg_b = b[c] > b[arg_b] ? c : arg_b;
+        }
+        agree += arg_a == arg_b;
+    }
+    std::cout << "serving geometry (Full, F=64, 48x48, untrained): max "
+                 "|logit int8 - fp32|: "
+              << Table::num(worst, 5) << ", top-1 agreement " << agree << "/"
+              << kFrames << "\n";
+    report.addValue("quant_serving_logit_div_max", worst);
+    report.addValue("quant_serving_top1_agree_pct",
+                    100.0 * agree / kFrames);
 }
 
 } // namespace
@@ -118,6 +178,7 @@ main(int argc, char **argv)
     report.addValue("quant_weight_max_abs_err", quant.maxAbsError());
     report.addValue("quant_logit_div_max", logit_div);
     report.addValue("quant_compression_ratio", ratio);
+    servingGeometryLine(report);
 
     if (delta_pts > max_delta) {
         std::cout << "FAIL: int8 top-1 delta " << Table::num(delta_pts, 2)

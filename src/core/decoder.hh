@@ -48,6 +48,12 @@ class LecaDecoder : public Layer
      */
     void planQuantized() { _net.planQuantized(); }
 
+    /** The stack's quantized execution plan (empty until planned). */
+    const std::vector<QuantStep> &quantPlan() const
+    {
+        return _net.quantPlan();
+    }
+
     /** Total parameter count (for the Table 2 size discussion). */
     std::size_t parameterCount();
 

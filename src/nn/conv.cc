@@ -46,19 +46,33 @@ Conv2d::forward(const Tensor &x, Mode mode)
     const Tensor &wsrc = per_call            ? dq
                          : _qweight.empty() ? _weight.value
                                             : _dqweight;
-    const Tensor wmat = wsrc.reshape({_cout, _cin * _k * _k});
-    const Tensor no_bias;
-    // Both modes pack the image straight into arena scratch
-    // (conv2dImageInto): no column matrix is ever materialised, so
-    // steady-state forwards allocate nothing per image. Backward
-    // recomputes the packed im2col from the cached input.
-    parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
-        for (int i = static_cast<int>(n0); i < n1; ++i)
-            conv2dImageInto(x, i, wmat, _hasBias ? _bias.value : no_bias,
-                            _k, _k, _stride, _pad, y);
-    });
+    // Both modes run the same kernels (convForwardBatch): the direct
+    // conv for the shapes convUsesDirect takes, im2col packed straight
+    // into arena scratch for the rest. No column matrix is ever
+    // materialised, so steady-state forwards allocate nothing per
+    // image. Backward recomputes the packed im2col from the cached
+    // input.
+    convForwardBatch(x.data(), n, _cin, h, w, _k, _k, _stride, _pad,
+                     wsrc.data(), _cout,
+                     _hasBias ? _bias.value.data() : nullptr, y.data());
     if (mode == Mode::Train)
         _input = x;
+    return y;
+}
+
+Tensor
+Conv2d::forwardFused(const Tensor &x, const ConvEpilogue &epi)
+{
+    LECA_CHECK(_dqweight.numel() > 0,
+               "Conv2d::forwardFused before preparePlainFp32");
+    LECA_CHECK(x.dim() == 4 && x.size(1) == _cin, "Conv2d(", _cin, " -> ",
+               _cout, ", k=", _k, ") fused input shape ",
+               detail::formatShape(x.shape()));
+    const int n = x.size(0), h = x.size(2), w = x.size(3);
+    Tensor y({n, _cout, convOutSize(h, _k, _stride, _pad),
+              convOutSize(w, _k, _stride, _pad)});
+    convForwardBatch(x.data(), n, _cin, h, w, _k, _k, _stride, _pad,
+                     _dqweight.data(), _cout, nullptr, y.data(), epi);
     return y;
 }
 

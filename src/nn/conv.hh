@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "nn/layer.hh"
+#include "tensor/kernels.hh"
 #include "tensor/quant.hh"
 #include "util/rng.hh"
 
@@ -17,10 +18,12 @@ namespace leca {
 /**
  * Standard 2-D convolution: weight [Cout, Cin, K, K], optional bias.
  *
- * Forward packs each image's im2col straight into arena scratch (no
- * column matrix is ever materialised); backward recomputes the packed
- * im2col per image and produces dW = dY * cols^T (with db fused as the
- * trailing GEMM column), and dX via col2im of W^T * dY — all scratch
+ * Forward runs convForwardBatch — the direct conv for the shapes
+ * convUsesDirect takes, else each image's im2col packed straight into
+ * arena scratch (no column matrix is ever materialised); backward
+ * recomputes the packed im2col per image and produces dW = dY * cols^T
+ * (with db fused as the trailing GEMM column), and dX via col2im of
+ * W^T * dY — all scratch
  * and gradient partials live in the thread-local Arena, so a warm
  * train step performs zero heap allocation inside this layer.
  */
@@ -84,6 +87,16 @@ class Conv2d : public Layer
      * codes per call.
      */
     void preparePlainFp32();
+
+    /**
+     * Eval forward of a planned quantized conv with its folded
+     * epilogue: the fp32 conv over the preparePlainFp32 weights with
+     * no separate bias pass — the caller folds the bias into @p epi,
+     * together with a trailing eval-mode BatchNorm and/or ReLU (the
+     * planner's ConvFp32 step, DESIGN.md §13). The direct conv applies
+     * @p epi in its kernel.
+     */
+    Tensor forwardFused(const Tensor &x, const ConvEpilogue &epi);
 
   private:
     int _cin, _cout, _k, _stride, _pad;

@@ -15,6 +15,52 @@
 
 namespace leca {
 
+namespace {
+
+/** Whether a quantized conv is wide enough on both sides to run on
+ *  resident int8 codes (see kResidentMinCin). */
+bool
+residentShape(const Conv2d &conv)
+{
+    return conv.cin() >= kResidentMinCin
+           && conv.cout() >= simd::kPackedQ8Cols;
+}
+
+/**
+ * The conv epilogue affine of ConvResident and ConvFp32 steps: a
+ * trailing BatchNorm's eval affine with the conv bias folded in
+ * (a·(x+bias)+b = a·x + fmaf(a, bias, b)), or a = 1, b = bias for a
+ * bias alone (fmaf(1, x, bias) == x + bias exactly). Recomputed from
+ * the live BN buffers each forward (cout floats — negligible), so a
+ * load() after planning can never serve stale statistics. Both null
+ * when there is nothing to fold.
+ */
+void
+foldConvAffine(Conv2d &conv, const BatchNorm2d *bn, Arena &arena,
+               float *&ea, float *&eb)
+{
+    ea = eb = nullptr;
+    if (bn == nullptr && !conv.hasBias())
+        return;
+    const int cout = conv.cout();
+    ea = arena.alloc(static_cast<std::size_t>(cout));
+    eb = arena.alloc(static_cast<std::size_t>(cout));
+    const float *bias = conv.hasBias() ? conv.bias().value.data() : nullptr;
+    if (bn != nullptr) {
+        bn->evalAffineInto(ea, eb);
+        if (bias != nullptr)
+            for (int ch = 0; ch < cout; ++ch)
+                eb[ch] = std::fmaf(ea[ch], bias[ch], eb[ch]);
+    } else {
+        for (int ch = 0; ch < cout; ++ch) {
+            ea[ch] = 1.0f;
+            eb[ch] = bias[ch];
+        }
+    }
+}
+
+} // namespace
+
 Sequential &
 Sequential::add(LayerPtr layer)
 {
@@ -91,8 +137,7 @@ Sequential::planQuantized()
     for (std::size_t i = 0; i < _layers.size();) {
         Layer *l = _layers[i].get();
         if (auto *conv = dynamic_cast<Conv2d *>(l);
-            conv != nullptr && conv->quantized()
-            && conv->cin() >= kResidentMinCin) {
+            conv != nullptr && conv->quantized() && residentShape(*conv)) {
             QuantStep st;
             st.kind = QuantStep::Kind::ConvResident;
             st.layer = l;
@@ -127,9 +172,10 @@ Sequential::planQuantized()
         st.layer = l;
         if (auto *conv = dynamic_cast<Conv2d *>(l);
             conv != nullptr && conv->quantized())
-            // Narrow conv (cin < kResidentMinCin): block padding would
-            // inflate its int8 patch dots, so it runs as the fp32 packed
-            // conv over weights dequantized from the codes.
+            // Narrow conv (see kResidentMinCin): int8 block padding or
+            // a part-empty weight tile would waste most of its int8
+            // work, so it runs in fp32 over weights dequantized from
+            // the codes.
             conv->preparePlainFp32();
         else if (auto *fc = dynamic_cast<Linear *>(l);
                  fc != nullptr && fc->quantized())
@@ -180,6 +226,40 @@ Sequential::planQuantized()
         ++s;
     }
     steps = std::move(merged);
+    // Fold the BatchNorm and/or ReLU behind a Plain quantized conv into
+    // its epilogue (ConvFp32) — only where that folds something. Those
+    // feeding a resident consumer were taken by FusedEntry above, so no
+    // ConvFp32 step feeds codes to anything.
+    merged.clear();
+    for (std::size_t s = 0; s < steps.size();) {
+        auto *conv = dynamic_cast<Conv2d *>(steps[s].layer);
+        if (steps[s].kind == QuantStep::Kind::Plain && conv != nullptr
+            && conv->quantized()) {
+            QuantStep st;
+            st.kind = QuantStep::Kind::ConvFp32;
+            st.layer = conv;
+            st.conv = conv;
+            std::size_t j = s + 1;
+            if (j < steps.size() && steps[j].kind == QuantStep::Kind::Plain)
+                if (auto *bn = dynamic_cast<BatchNorm2d *>(steps[j].layer)) {
+                    st.bn = bn;
+                    ++j;
+                }
+            if (j < steps.size() && steps[j].kind == QuantStep::Kind::Plain
+                && dynamic_cast<Relu *>(steps[j].layer) != nullptr) {
+                st.relu = true;
+                ++j;
+            }
+            if (j > s + 1) {
+                merged.push_back(st);
+                s = j;
+                continue;
+            }
+        }
+        merged.push_back(steps[s]);
+        ++s;
+    }
+    steps = std::move(merged);
     // A step keeps its output resident exactly when the next step can
     // consume codes; everything else exits fp32 (precision boundary).
     // FusedEntry consumes fp32 (it IS the boundary) but emits codes.
@@ -190,7 +270,7 @@ Sequential::planQuantized()
                || k == QuantStep::Kind::PoolAvg
                || k == QuantStep::Kind::Gap;
     };
-    bool any_resident = false;
+    bool any_planned = false;
     for (std::size_t s = 0; s < steps.size(); ++s) {
         const QuantStep::Kind k = steps[s].kind;
         const bool can_emit = k == QuantStep::Kind::ConvResident
@@ -198,7 +278,8 @@ Sequential::planQuantized()
                               || k == QuantStep::Kind::FusedEntry;
         steps[s].emitQuant = can_emit && s + 1 < steps.size()
                              && consumesQuant(steps[s + 1].kind);
-        any_resident = any_resident || can_emit;
+        any_planned = any_planned || can_emit
+                      || k == QuantStep::Kind::ConvFp32;
     }
     // Pools only pool over codes when a resident producer feeds them;
     // otherwise they run their plain fp32 forward.
@@ -210,7 +291,7 @@ Sequential::planQuantized()
         if (pool && !(s > 0 && steps[s - 1].emitQuant))
             steps[s].kind = QuantStep::Kind::Plain;
     }
-    if (any_resident)
+    if (any_planned)
         _plan = std::move(steps);
 }
 
@@ -277,30 +358,8 @@ Sequential::forwardPlanned(const Tensor &x)
             const int oh = (src.h + 2 * p - k) / s + 1;
             const int ow = (src.w + 2 * p - k) / s + 1;
             const int cout = conv.cout();
-            // Epilogue affines are recomputed from the live BN buffers
-            // each forward (c floats — negligible), so a load() after
-            // planning can never serve stale statistics.
             float *ea = nullptr, *eb = nullptr;
-            if (st.bn != nullptr || conv.hasBias()) {
-                ea = arena.alloc(static_cast<std::size_t>(cout));
-                eb = arena.alloc(static_cast<std::size_t>(cout));
-                if (st.bn != nullptr) {
-                    st.bn->evalAffineInto(ea, eb);
-                    if (conv.hasBias()) {
-                        // y = a·(x+bias)+b = a·x + (a·bias + b).
-                        const float *bias = conv.bias().value.data();
-                        for (int ch = 0; ch < cout; ++ch)
-                            eb[ch] = std::fmaf(ea[ch], bias[ch], eb[ch]);
-                    }
-                } else {
-                    // fmaf(1, x, bias) == x + bias exactly.
-                    const float *bias = conv.bias().value.data();
-                    for (int ch = 0; ch < cout; ++ch) {
-                        ea[ch] = 1.0f;
-                        eb[ch] = bias[ch];
-                    }
-                }
-            }
+            foldConvAffine(conv, st.bn, arena, ea, eb);
             const ResidentEpilogue epi{ea, eb, st.relu};
             if (st.emitQuant) {
                 QuantActivation out = allocOut(src.n, cout, oh, ow);
@@ -315,6 +374,13 @@ Sequential::forwardPlanned(const Tensor &x)
                 cur = std::move(out);
                 resident = false;
             }
+            break;
+          }
+          case QuantStep::Kind::ConvFp32: {
+            LECA_CHECK(!resident, "ConvFp32 must be fed by an fp32 producer");
+            float *ea = nullptr, *eb = nullptr;
+            foldConvAffine(*st.conv, st.bn, arena, ea, eb);
+            cur = st.conv->forwardFused(cur, ConvEpilogue{ea, eb, st.relu});
             break;
           }
           case QuantStep::Kind::FusedEntry: {
@@ -432,8 +498,7 @@ ResidualBlock::planResident()
     _proj.planQuantized();
     _resident = _conv1->quantized() && _conv2->quantized()
                 && (!_hasProj || _projConv->quantized())
-                && _conv1->cin() >= kResidentMinCin
-                && _conv2->cin() >= kResidentMinCin;
+                && residentShape(*_conv1) && residentShape(*_conv2);
     return _resident;
 }
 

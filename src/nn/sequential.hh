@@ -21,19 +21,27 @@ struct QuantActivation;
 
 /**
  * Smallest input-channel count for which a quantized conv consumes
- * resident int8 codes (DESIGN.md §13). Below it (e.g. the 3-channel
- * backbone stem and the decoder's DnCNN stack) block padding inflates
- * the patch MACs so much that the fp32 packed conv over the weights
- * dequantized from the codes (Conv2d::preparePlainFp32) is faster, so
- * the planner runs those convs that way.
+ * resident int8 codes (DESIGN.md §13). The planner runs a quantized
+ * conv resident only when cin >= kResidentMinCin AND cout >=
+ * simd::kPackedQ8Cols (16, one packed int8 weight tile):
+ *  - below the cin bound (the 3-channel backbone stem, the decoder's
+ *    DnCNN taps) block padding inflates the patch MACs to
+ *    quantPadded(cin)/cin times the real ones;
+ *  - below the cout bound (the decoder's 64->3 head) the int8 GEMM
+ *    fills only cout of the tile's 16 lanes.
+ * Either way the conv runs in fp32 over the weights dequantized from
+ * its codes (Conv2d::preparePlainFp32) — the direct conv for the
+ * decoder and the stem (convUsesDirect) — with a trailing BatchNorm
+ * and/or ReLU folded into its epilogue (QuantStep::Kind::ConvFp32)
+ * unless they feed a resident consumer (QuantStep::Kind::FusedEntry).
  */
 inline constexpr int kResidentMinCin = 16;
 
 /**
  * One step of a Sequential's quantized execution plan, decided once at
  * quantize()/loadQuantized() time — never per forward (DESIGN.md §13).
- * ConvResident folds a following BatchNorm2d (eval affine) and Relu
- * into the conv epilogue; Residual delegates to
+ * ConvResident and ConvFp32 fold a following BatchNorm2d (eval affine)
+ * and Relu into the conv epilogue; Residual delegates to
  * ResidualBlock::forwardResident; the pool kinds pool straight over
  * resident codes; Plain runs the layer's normal forward on fp32.
  * emitQuant: leave the step's output resident for the next step.
@@ -51,11 +59,16 @@ struct QuantStep
         /** Fp32 producer -> resident consumer boundary with the
          *  intervening BatchNorm/ReLU fused into the entry quantize
          *  (one pass over the planes instead of three). */
-        FusedEntry
+        FusedEntry,
+        /** Plain quantized conv with its bias and a trailing BatchNorm
+         *  and/or ReLU folded into the fp32 conv's epilogue (fused into
+         *  the direct conv); fp32 in, fp32 out. Formed only when it
+         *  folds something and no resident consumer follows. */
+        ConvFp32
     };
     Kind kind = Kind::Plain;
     Layer *layer = nullptr;    //!< Plain/Residual/pool target
-    Conv2d *conv = nullptr;    //!< ConvResident only
+    Conv2d *conv = nullptr;    //!< ConvResident / ConvFp32 only
     BatchNorm2d *bn = nullptr; //!< folded into the epilogue (may be null)
     bool relu = false;         //!< folded trailing ReLU
     bool emitQuant = false;    //!< output stays resident int8
@@ -136,9 +149,9 @@ class ResidualBlock : public Layer
      * Prepare the block's quantized execution (DESIGN.md §13): re-plans
      * the child Sequentials (which builds the convs' packed HWC layouts
      * or fp32 copies) and checks every conv is quantized and wide
-     * enough (kResidentMinCin) to run resident. Returns whether the
-     * block will run resident; idempotent, called from the owning
-     * Sequential's planQuantized().
+     * enough (kResidentMinCin in, kPackedQ8Cols out) to run resident.
+     * Returns whether the block will run resident; idempotent, called
+     * from the owning Sequential's planQuantized().
      */
     bool planResident();
     bool resident() const { return _resident; }

@@ -24,6 +24,7 @@ const KernelSet kScalarSet = {
     microF32Scalar, gemmQ8PackedScalar, quantizeRowScalar,
     dequantizeRowScalar,
     /*f32FlopsPerCycle=*/8.0, /*i8MacsPerCycle=*/8.0, affineReluRowScalar,
+    convDirectF32Scalar,
 };
 
 #if defined(LECA_HAVE_AVX2)
@@ -31,6 +32,7 @@ const KernelSet kAvx2Set = {
     "avx2", Isa::Avx2,
     microF32Avx2, gemmQ8PackedAvx2, quantizeRowAvx2, dequantizeRowAvx2,
     /*f32FlopsPerCycle=*/16.0, /*i8MacsPerCycle=*/32.0, affineReluRowAvx2,
+    convDirectF32Avx2,
 };
 #endif
 
@@ -49,12 +51,13 @@ avx512Set()
 #endif
             quantizeRowAvx512, dequantizeRowAvx512,
             /*f32FlopsPerCycle=*/32.0, /*i8MacsPerCycle=*/32.0,
-            affineReluRowAvx512,
+            affineReluRowAvx512, convDirectF32Avx512,
         };
 #if defined(LECA_HAVE_AVX512VNNI) && defined(__x86_64__)
         if (__builtin_cpu_supports("avx512vnni")) {
             s.gemmQ8Packed = gemmQ8PackedVnni;
-            s.i8MacsPerCycle = 128.0;
+            // One 512-bit VPDPBUSD per cycle: 16 lanes x 4 MACs.
+            s.i8MacsPerCycle = 64.0;
         }
 #endif
         return s;
@@ -69,6 +72,7 @@ const KernelSet kNeonSet = {
     microF32Neon, gemmQ8PackedScalar, quantizeRowScalar,
     dequantizeRowScalar,
     /*f32FlopsPerCycle=*/8.0, /*i8MacsPerCycle=*/8.0, affineReluRowNeon,
+    convDirectF32Scalar,
 };
 #endif
 

@@ -1,6 +1,7 @@
 #include "kernels.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "tensor/isa.hh"
@@ -354,17 +355,87 @@ col2imRaw(const float *cols, int channels, int height, int width, int kh,
     }
 }
 
-void
-convForwardPacked(const float *image, int cin, int h, int w, int kh,
-                  int kw, int stride, int pad, const float *wmat, int cout,
-                  const float *bias, float *dst)
+namespace {
+
+/**
+ * Target MACs per direct-conv work unit (one image's output-row band):
+ * large enough to amortise a pool dispatch and the band's halo rows,
+ * small enough that a batch-1 frame of a wide layer still spreads
+ * over the pool.
+ */
+constexpr std::int64_t kDirectBandMacs = std::int64_t{1} << 20;
+
+/** Output rows per band — a function of the shape only (DESIGN.md §7). */
+int
+directBandRows(int oh, int ow, int cout, std::int64_t kdim)
 {
-    const int oh = (h + 2 * pad - kh) / stride + 1;
-    const int ow = (w + 2 * pad - kw) / stride + 1;
+    const std::int64_t per_row =
+        std::max<std::int64_t>(1, static_cast<std::int64_t>(ow) * cout * kdim);
+    return static_cast<int>(std::clamp<std::int64_t>(
+        (kDirectBandMacs + per_row - 1) / per_row, 1, oh));
+}
+
+/**
+ * Output rows [oy0, oy0 + rows) of one image through the direct conv
+ * slot: copy the input rows the band reads into a zero-haloed arena
+ * buffer (the +0 values im2col pads with), then one kernel call. The
+ * buffer is sized by @p band_rows, not @p rows, so every unit of a
+ * conv makes the same arena demand (see gemmWithPackedB).
+ */
+void
+directConvBand(simd::ConvDirectF32Fn fn, const float *image, int cin, int h,
+               int w, int kh, int kw, int pad, int oy0, int rows,
+               int band_rows, const float *wmat, int cout, const float *bias,
+               const ConvEpilogue &epi, float *dst, int oh, int ow)
+{
+    const std::int64_t ld = roundUp(ow, simd::kConvDirectLanes) + kw - 1;
+    const std::int64_t hrows = band_rows + kh - 1;
+    Arena::Scope scope;
+    float *halo = Arena::local().alloc(
+        static_cast<std::size_t>(cin * hrows * ld));
+    for (int ci = 0; ci < cin; ++ci) {
+        const float *plane = image + static_cast<std::int64_t>(ci) * h * w;
+        for (int hr = 0; hr < rows + kh - 1; ++hr) {
+            float *drow = halo + (ci * hrows + hr) * ld;
+            const int iy = oy0 + hr - pad;
+            if (iy < 0 || iy >= h) {
+                std::fill(drow, drow + ld, 0.0f);
+                continue;
+            }
+            std::fill(drow, drow + pad, 0.0f);
+            std::memcpy(drow + pad, plane + static_cast<std::int64_t>(iy) * w,
+                        static_cast<std::size_t>(w) * sizeof(float));
+            std::fill(drow + pad + w, drow + ld, 0.0f);
+        }
+    }
+    simd::ConvDirectF32Args args;
+    args.in = halo;
+    args.ld = ld;
+    args.plane = hrows * ld;
+    args.w = wmat;
+    args.bias = bias;
+    args.a = epi.a;
+    args.b = epi.b;
+    args.relu = epi.relu;
+    args.out = dst + static_cast<std::int64_t>(oy0) * ow;
+    args.ostride = static_cast<std::int64_t>(oh) * ow;
+    args.cin = cin;
+    args.cout = cout;
+    args.kh = kh;
+    args.kw = kw;
+    args.ow = ow;
+    args.rows = rows;
+    fn(args);
+}
+
+/** The im2col + blocked GEMM conv of one image (convForwardBatch). */
+void
+packedConvImage(const float *image, int cin, int h, int w, int kh, int kw,
+                int stride, int pad, const float *wmat, int cout,
+                const float *bias, float *dst, int oh, int ow)
+{
     const std::int64_t kdim = static_cast<std::int64_t>(cin) * kh * kw;
     const std::int64_t n = static_cast<std::int64_t>(oh) * ow;
-    LECA_CHECK(oh > 0 && ow > 0, "convForwardPacked output ", oh, "x", ow,
-               " for input ", h, "x", w, " kernel ", kh, "x", kw);
     Arena::Scope scope;
     float *bp = Arena::local().alloc(
         static_cast<std::size_t>(roundUp(n, NR) * kdim));
@@ -381,6 +452,69 @@ convForwardPacked(const float *image, int cin, int h, int w, int kh,
                 drow[p] += b;
         }
     }
+}
+
+} // namespace
+
+bool
+convUsesDirect(int cin, int cout, int stride, int ow)
+{
+    return stride == 1
+           && (ow >= kDirectMinWidth
+               || (cout <= kDirectNarrowCout && cin <= kDirectNarrowCin));
+}
+
+// leca-analyze: entry
+void
+convForwardBatch(const float *x, int n, int cin, int h, int w, int kh,
+                 int kw, int stride, int pad, const float *wmat, int cout,
+                 const float *bias, float *dst, const ConvEpilogue &epi)
+{
+    const int oh = (h + 2 * pad - kh) / stride + 1;
+    const int ow = (w + 2 * pad - kw) / stride + 1;
+    LECA_CHECK(oh > 0 && ow > 0, "conv output ", oh, "x", ow, " for input ",
+               h, "x", w, " kernel ", kh, "x", kw);
+    const std::int64_t in_sz = static_cast<std::int64_t>(cin) * h * w;
+    const std::int64_t out_sz = static_cast<std::int64_t>(cout) * oh * ow;
+    if (!convUsesDirect(cin, cout, stride, ow)) {
+        const std::int64_t ohow = static_cast<std::int64_t>(oh) * ow;
+        parallelFor(0, n, 1, [&](std::int64_t i0, std::int64_t i1) {
+            for (std::int64_t i = i0; i < i1; ++i) {
+                float *out = dst + i * out_sz;
+                packedConvImage(x + i * in_sz, cin, h, w, kh, kw, stride,
+                                pad, wmat, cout, bias, out, oh, ow);
+                if (epi.a == nullptr && !epi.relu)
+                    continue;
+                // The direct kernel's epilogue, as its own pass.
+                for (int co = 0; co < cout; ++co) {
+                    float *plane = out + co * ohow;
+                    if (epi.a)
+                        for (std::int64_t p = 0; p < ohow; ++p)
+                            plane[p] = std::fmaf(epi.a[co], plane[p],
+                                                 epi.b[co]);
+                    if (epi.relu)
+                        for (std::int64_t p = 0; p < ohow; ++p)
+                            plane[p] = plane[p] > 0.0f ? plane[p] : 0.0f;
+                }
+            }
+        });
+        return;
+    }
+    // Snapshotted once, before the parallel region, like the GEMM's
+    // micro-kernel: one conv never tears across two ISA variants.
+    const simd::ConvDirectF32Fn fn = activeKernels().convDirectF32;
+    const int band = directBandRows(
+        oh, ow, cout, static_cast<std::int64_t>(cin) * kh * kw);
+    const std::int64_t nbands = (oh + band - 1) / band;
+    parallelFor(0, n * nbands, 1, [&](std::int64_t u0, std::int64_t u1) {
+        for (std::int64_t u = u0; u < u1; ++u) {
+            const std::int64_t i = u / nbands;
+            const int oy0 = static_cast<int>(u % nbands) * band;
+            directConvBand(fn, x + i * in_sz, cin, h, w, kh, kw, pad, oy0,
+                           std::min(band, oh - oy0), band, wmat, cout, bias,
+                           epi, dst + i * out_sz, oh, ow);
+        }
+    });
 }
 
 } // namespace leca

@@ -30,6 +30,12 @@
  * row chunks are scheduled. gemmBlocked is bit-identical to
  * gemmReference at every LECA_THREADS setting (tests/test_kernels.cc).
  *
+ * The one exception to "every conv funnels into gemmBlocked" is the
+ * direct fp32 conv for stride-1 layers (convUsesDirect,
+ * KernelSet::convDirectF32, behind convForwardBatch): it evaluates the
+ * very same per-element chains without a patch matrix, so it is
+ * bit-identical too.
+ *
  * All scratch (packed panels, im2col buffers) comes from the
  * thread-local Arena (util/arena.hh): zero steady-state heap
  * allocations.
@@ -102,21 +108,59 @@ void col2imRaw(const float *cols, int channels, int height, int width,
                int kh, int kw, int stride, int pad, float *dst);
 
 /**
- * Convolution forward for one [C,H,W] image without materialising the
- * column matrix: im2col writes directly into the packed-panel layout
- * (arena scratch) and the blocked GEMM consumes it in place.
+ * The shape-only rule that routes a conv to the direct fp32 conv
+ * (KernelSet::convDirectF32) instead of im2col + gemmBlocked
+ * (DESIGN.md §8): stride 1, and either an output row that fills at
+ * least one 16-lane vector (ow >= kDirectMinWidth) or a narrow output
+ * (cout <= kDirectNarrowCout, cin <= kDirectNarrowCin). Measured with
+ * bench/micro_ops on AVX-512 and AVX2: the direct conv wins on every
+ * shape the rule takes; the packed GEMM keeps wide-output convs on
+ * narrow rows (e.g. 32->128 or 128->128 at 12x12, 64->64 at 6x6).
+ */
+inline constexpr int kDirectMinWidth = 16;
+inline constexpr int kDirectNarrowCout = 32;
+inline constexpr int kDirectNarrowCin = 64;
+
+/** Whether a conv of this shape runs as the direct fp32 conv. */
+bool convUsesDirect(int cin, int cout, int stride, int ow);
+
+/**
+ * Per-output-channel conv epilogue, applied after the bias:
+ * v = fmaf(a[c], v, b[c]) when a is set (a and b are set together),
+ * then max(v, +0) when relu — AffineReluRowFn semantics.
+ */
+struct ConvEpilogue
+{
+    const float *a = nullptr;
+    const float *b = nullptr;
+    bool relu = false;
+};
+
+/**
+ * Convolution forward over a batch without materialising a column
+ * matrix, x [n, cin, h, w] → dst [n, cout, OH, OW] (overwritten).
  *
- * @param image  input plane [cin, h, w]
  * @param wmat   weights reshaped to [cout, cin*kh*kw], row-major
  * @param bias   per-output-channel bias, or nullptr for none; added in
- *               a second pass after the GEMM, matching conv2dImage
- * @param dst    output [cout, OH*OW], overwritten
+ *               a second pass after the product chain, matching
+ *               conv2dImage
+ * @param epi    per-channel epilogue after the bias (may be empty)
  *
- * Bit-identical to im2colRaw + gemmBlocked on the materialised matrix.
+ * Convs convUsesDirect selects run through KernelSet::convDirectF32,
+ * split over (image, output-row band) units whose size depends on the
+ * shape only, so a batch-1 frame also spreads over the pool; every
+ * output element is computed whole by one unit, with @p epi fused into
+ * the kernel. All other convs run the packed path, one image per
+ * parallel unit: im2col writes straight into the packed-panel layout
+ * (arena scratch), the blocked GEMM consumes it in place, and @p epi
+ * runs as a pass over the planes.
+ * Both are bit-identical to im2colRaw + gemmBlocked (+ the bias pass,
+ * + the epilogue).
  */
-void convForwardPacked(const float *image, int cin, int h, int w, int kh,
-                       int kw, int stride, int pad, const float *wmat,
-                       int cout, const float *bias, float *dst);
+void convForwardBatch(const float *x, int n, int cin, int h, int w, int kh,
+                      int kw, int stride, int pad, const float *wmat,
+                      int cout, const float *bias, float *dst,
+                      const ConvEpilogue &epi = {});
 
 } // namespace leca
 

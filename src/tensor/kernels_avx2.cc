@@ -17,13 +17,20 @@
  * ones then yields exact int32 4-element group sums, added into the
  * block's int32 dot. This kernel also serves AVX-512 hosts without
  * VNNI.
+ *
+ * Direct conv: CO output channels × XV 8-lane vectors of one output row
+ * per register tile (CO·XV <= 12 accumulators, leaving ymm for the
+ * weight broadcast and the products), VMULPS+VADDPS per tap with the
+ * input row loads folded in, VMASKMOVPS for the row tail.
  */
 
 #if defined(__AVX2__)
 
 #include <immintrin.h>
 
+#include <array>
 #include <cstring>
+#include <utility>
 
 #include "tensor/simd.hh"
 
@@ -119,6 +126,89 @@ tileRows(std::int64_t i0, std::int64_t ie, const std::int8_t *qa,
         tileKernel<1, H>(qa + i * nb * 32, sa + i * nb, b, tile,
                          c + i * ldc + tile * L, ldc);
 }
+
+constexpr int kConvMaxCo = 4;
+constexpr int kConvMaxXv = 4;
+constexpr int kConvAccRegs = 12;
+
+/**
+ * Output channels [co0, co0+CO) × lanes [x0, x0 + 8·XV) of output row
+ * r, of which @p live lanes are stored: one VMULPS+VADDPS chain per
+ * element over ascending (ci, ky, kx), then the ConvDirectF32Fn
+ * epilogue.
+ */
+template <int CO, int XV>
+void
+convTile(const ConvDirectF32Args &g, int co0, int r, int x0, int live)
+{
+    const std::int64_t kdim =
+        static_cast<std::int64_t>(g.cin) * g.kh * g.kw;
+    const float *wt = g.w + co0 * kdim;
+    __m256 acc[CO][XV];
+    for (int c = 0; c < CO; ++c)
+        for (int j = 0; j < XV; ++j)
+            acc[c][j] = _mm256_setzero_ps();
+    // One flat loop over the taps, (ci, ky, kx) ascending: measured
+    // 10-20 % faster than nested ci/ky/kx loops, whose kx trip count is
+    // only kw.
+    const float *row = g.in + static_cast<std::int64_t>(r) * g.ld + x0;
+    const std::int64_t next_plane = g.plane - (g.kh - 1) * g.ld;
+    for (std::int64_t t = 0, kx = 0, ky = 0; t < kdim; ++t) {
+        for (int c = 0; c < CO; ++c) {
+            // set1, not _mm256_broadcast_ss: with the latter GCC 12
+            // stores every accumulator back to the stack on each tap.
+            const __m256 wb = _mm256_set1_ps(wt[c * kdim + t]);
+            for (int j = 0; j < XV; ++j)
+                acc[c][j] = _mm256_add_ps(
+                    acc[c][j],
+                    _mm256_mul_ps(wb, _mm256_loadu_ps(row + kx + 8 * j)));
+        }
+        if (++kx == g.kw) {
+            kx = 0;
+            if (++ky == g.kh) {
+                ky = 0;
+                row += next_plane;
+            } else {
+                row += g.ld;
+            }
+        }
+    }
+    const __m256 zero = _mm256_setzero_ps();
+    for (int c = 0; c < CO; ++c) {
+        const int co = co0 + c;
+        float *orow = g.out + co * g.ostride
+                      + static_cast<std::int64_t>(r) * g.ow + x0;
+        for (int j = 0; j < XV; ++j) {
+            __m256 v = acc[c][j];
+            if (g.bias)
+                v = _mm256_add_ps(v, _mm256_set1_ps(g.bias[co]));
+            if (g.a)
+                v = _mm256_fmadd_ps(_mm256_set1_ps(g.a[co]), v,
+                                    _mm256_set1_ps(g.b[co]));
+            if (g.relu)
+                // max(v, +0): the second operand is returned for NaN and
+                // for (-0, +0) ties, matching the scalar v > 0 ? v : 0.
+                v = _mm256_max_ps(v, zero);
+            if (live - 8 * j >= 8)
+                _mm256_storeu_ps(orow + 8 * j, v);
+            else
+                _mm256_maskstore_ps(orow + 8 * j, laneMask(live, 8 * j), v);
+        }
+    }
+}
+
+using ConvTileFn = void (*)(const ConvDirectF32Args &, int, int, int, int);
+
+template <int... I>
+constexpr auto
+makeConvTiles(std::integer_sequence<int, I...>)
+{
+    return std::array<ConvTileFn, sizeof...(I)>{
+        &convTile<I / kConvMaxXv + 1, I % kConvMaxXv + 1>...};
+}
+
+constexpr auto kConvTiles = makeConvTiles(
+    std::make_integer_sequence<int, kConvMaxCo * kConvMaxXv>{});
 
 } // namespace
 
@@ -259,6 +349,30 @@ affineReluRowAvx2(const float *src, const float *a, const float *b,
         const float f = _mm_cvtss_f32(relu ? _mm_max_ss(v, _mm_setzero_ps())
                                            : v);
         dst[j] = f;
+    }
+}
+
+// leca-analyze: entry
+void
+convDirectF32Avx2(const ConvDirectF32Args &g)
+{
+    // Balanced channel tiles (17 -> 4,4,3,3,3), each swept over the
+    // band's rows in x chunks of up to kConvAccRegs/CO vectors.
+    const int ntiles = (g.cout + kConvMaxCo - 1) / kConvMaxCo;
+    for (int tile = 0, co0 = 0; tile < ntiles; ++tile) {
+        const int co = (g.cout - co0 + (ntiles - tile) - 1) / (ntiles - tile);
+        const int xv_max = kConvAccRegs / co < kConvMaxXv
+                               ? kConvAccRegs / co
+                               : kConvMaxXv;
+        for (int r = 0; r < g.rows; ++r)
+            for (int x0 = 0; x0 < g.ow;) {
+                const int nvec = (g.ow - x0 + 7) / 8;
+                const int xv = nvec < xv_max ? nvec : xv_max;
+                kConvTiles[(co - 1) * kConvMaxXv + xv - 1](g, co0, r, x0,
+                                                            g.ow - x0);
+                x0 += 8 * xv;
+            }
+        co0 += co;
     }
 }
 

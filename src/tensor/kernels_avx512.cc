@@ -8,6 +8,10 @@
  * kMicroN extent in a single register — with explicit VMULPS+VADDPS
  * and masked C loads/stores, so edge tiles share the main path.
  *
+ * Direct conv: CO output channels × XV 16-lane vectors of one output
+ * row per register tile (CO·XV <= 24 of the 32 zmm), VMULPS+VADDPS per
+ * tap, masked stores for the row tail.
+ *
  * There is no AVX-512 int8 dot without VNNI (VPSIGNB does not exist in
  * EVEX form); isa.cc pairs this set's microF32 with the VNNI dot when
  * the host has it and the AVX2 dot otherwise.
@@ -17,9 +21,105 @@
 
 #include <immintrin.h>
 
+#include <array>
+#include <utility>
+
 #include "tensor/simd.hh"
 
 namespace leca::simd::detail {
+
+namespace {
+
+constexpr int kConvMaxCo = 8;
+constexpr int kConvMaxXv = 4;
+constexpr int kConvAccRegs = 24;
+
+inline __mmask16
+tailMask(int live)
+{
+    return live >= 16 ? static_cast<__mmask16>(0xFFFF)
+                      : static_cast<__mmask16>((1u << live) - 1u);
+}
+
+/**
+ * Output channels [co0, co0+CO) × lanes [x0, x0 + 16·XV) of output row
+ * r, of which @p live lanes are stored: one VMULPS+VADDPS chain per
+ * element over ascending (ci, ky, kx), then the ConvDirectF32Fn
+ * epilogue.
+ */
+template <int CO, int XV>
+void
+convTile(const ConvDirectF32Args &g, int co0, int r, int x0, int live)
+{
+    const std::int64_t kdim =
+        static_cast<std::int64_t>(g.cin) * g.kh * g.kw;
+    const float *wt = g.w + co0 * kdim;
+    __m512 acc[CO][XV];
+    for (int c = 0; c < CO; ++c)
+        for (int j = 0; j < XV; ++j)
+            acc[c][j] = _mm512_setzero_ps();
+    // One flat loop over the taps, (ci, ky, kx) ascending: measured
+    // 10-20 % faster than nested ci/ky/kx loops, whose kx trip count is
+    // only kw.
+    const float *row = g.in + static_cast<std::int64_t>(r) * g.ld + x0;
+    const std::int64_t next_plane = g.plane - (g.kh - 1) * g.ld;
+    for (std::int64_t t = 0, kx = 0, ky = 0; t < kdim; ++t) {
+        for (int c = 0; c < CO; ++c) {
+            const __m512 wb = _mm512_set1_ps(wt[c * kdim + t]);
+            for (int j = 0; j < XV; ++j)
+                acc[c][j] = _mm512_add_ps(
+                    acc[c][j],
+                    _mm512_mul_ps(wb, _mm512_loadu_ps(row + kx + 16 * j)));
+        }
+        if (++kx == g.kw) {
+            kx = 0;
+            if (++ky == g.kh) {
+                ky = 0;
+                row += next_plane;
+            } else {
+                row += g.ld;
+            }
+        }
+    }
+    const __m512 zero = _mm512_setzero_ps();
+    for (int c = 0; c < CO; ++c) {
+        const int co = co0 + c;
+        float *orow = g.out + co * g.ostride
+                      + static_cast<std::int64_t>(r) * g.ow + x0;
+        for (int j = 0; j < XV; ++j) {
+            __m512 v = acc[c][j];
+            if (g.bias)
+                v = _mm512_add_ps(v, _mm512_set1_ps(g.bias[co]));
+            if (g.a)
+                v = _mm512_fmadd_ps(_mm512_set1_ps(g.a[co]), v,
+                                    _mm512_set1_ps(g.b[co]));
+            if (g.relu)
+                // max(v, +0): the second operand is returned for NaN and
+                // for (-0, +0) ties, matching the scalar v > 0 ? v : 0.
+                // (Masked form: GCC 12's unmasked one trips
+                // -Wmaybe-uninitialized.)
+                v = _mm512_maskz_max_ps(static_cast<__mmask16>(0xFFFF), v,
+                                        zero);
+            _mm512_mask_storeu_ps(orow + 16 * j, tailMask(live - 16 * j),
+                                  v);
+        }
+    }
+}
+
+using ConvTileFn = void (*)(const ConvDirectF32Args &, int, int, int, int);
+
+template <int... I>
+constexpr auto
+makeConvTiles(std::integer_sequence<int, I...>)
+{
+    return std::array<ConvTileFn, sizeof...(I)>{
+        &convTile<I / kConvMaxXv + 1, I % kConvMaxXv + 1>...};
+}
+
+constexpr auto kConvTiles = makeConvTiles(
+    std::make_integer_sequence<int, kConvMaxCo * kConvMaxXv>{});
+
+} // namespace
 
 void
 microF32Avx512(std::int64_t kc, const float *ap, const float *bp, float *c,
@@ -113,6 +213,30 @@ affineReluRowAvx512(const float *src, const float *a, const float *b,
         if (relu)
             v = _mm512_max_ps(v, zero);
         _mm512_mask_storeu_ps(dst + j, m, v);
+    }
+}
+
+// leca-analyze: entry
+void
+convDirectF32Avx512(const ConvDirectF32Args &g)
+{
+    // Balanced channel tiles (17 -> 6,6,5), each swept over the band's
+    // rows in x chunks of up to kConvAccRegs/CO vectors.
+    const int ntiles = (g.cout + kConvMaxCo - 1) / kConvMaxCo;
+    for (int tile = 0, co0 = 0; tile < ntiles; ++tile) {
+        const int co = (g.cout - co0 + (ntiles - tile) - 1) / (ntiles - tile);
+        const int xv_max = kConvAccRegs / co < kConvMaxXv
+                               ? kConvAccRegs / co
+                               : kConvMaxXv;
+        for (int r = 0; r < g.rows; ++r)
+            for (int x0 = 0; x0 < g.ow;) {
+                const int nvec = (g.ow - x0 + 15) / 16;
+                const int xv = nvec < xv_max ? nvec : xv_max;
+                kConvTiles[(co - 1) * kConvMaxXv + xv - 1](g, co0, r, x0,
+                                                            g.ow - x0);
+                x0 += 16 * xv;
+            }
+        co0 += co;
     }
 }
 

@@ -153,6 +153,48 @@ affineReluRowScalar(const float *src, const float *a, const float *b,
     }
 }
 
+// leca-analyze: entry
+void
+convDirectF32Scalar(const ConvDirectF32Args &g)
+{
+    // The ConvDirectF32Fn contract, literally, over strips of output x
+    // so the per-element chains vectorise along x without reordering.
+    constexpr int kStrip = 64;
+    const std::int64_t kdim = static_cast<std::int64_t>(g.cin) * g.kh * g.kw;
+    for (int co = 0; co < g.cout; ++co) {
+        const float *wc = g.w + co * kdim;
+        for (int r = 0; r < g.rows; ++r) {
+            float *orow = g.out + co * g.ostride
+                          + static_cast<std::int64_t>(r) * g.ow;
+            for (int x0 = 0; x0 < g.ow; x0 += kStrip) {
+                const int nx = g.ow - x0 < kStrip ? g.ow - x0 : kStrip;
+                float acc[kStrip];
+                for (int x = 0; x < nx; ++x)
+                    acc[x] = 0.0f;
+                const float *wt = wc;
+                for (int ci = 0; ci < g.cin; ++ci)
+                    for (int ky = 0; ky < g.kh; ++ky) {
+                        const float *src = g.in + ci * g.plane
+                                           + (r + ky) * g.ld + x0;
+                        for (int kx = 0; kx < g.kw; ++kx, ++wt)
+                            for (int x = 0; x < nx; ++x)
+                                acc[x] = acc[x] + *wt * src[x + kx];
+                    }
+                for (int x = 0; x < nx; ++x) {
+                    float v = acc[x];
+                    if (g.bias)
+                        v = v + g.bias[co];
+                    if (g.a)
+                        v = std::fmaf(g.a[co], v, g.b[co]);
+                    if (g.relu)
+                        v = v > 0.0f ? v : 0.0f;
+                    orow[x0 + x] = v;
+                }
+            }
+        }
+    }
+}
+
 void
 dequantizeRowScalar(const std::int8_t *q, const float *scales,
                     std::int64_t k, float *dst)

@@ -120,11 +120,11 @@ conv2dImageInto(const Tensor &x, int item, const Tensor &wmat,
 {
     const int cin = x.size(1), h = x.size(2), w = x.size(3);
     const int cout = y.size(1), oh = y.size(2), ow = y.size(3);
-    convForwardPacked(x.data() + static_cast<std::size_t>(item) * cin * h * w,
-                      cin, h, w, kh, kw, stride, pad, wmat.data(), cout,
-                      bias.numel() > 0 ? bias.data() : nullptr,
-                      y.data()
-                          + static_cast<std::size_t>(item) * cout * oh * ow);
+    convForwardBatch(x.data() + static_cast<std::size_t>(item) * cin * h * w,
+                     1, cin, h, w, kh, kw, stride, pad, wmat.data(), cout,
+                     bias.numel() > 0 ? bias.data() : nullptr,
+                     y.data()
+                         + static_cast<std::size_t>(item) * cout * oh * ow);
 }
 
 Tensor
@@ -140,13 +140,10 @@ conv2d(const Tensor &x, const Tensor &weight, const Tensor &bias, int stride,
                cin, ", weight expects ", weight.size(1));
     const int oh = convOutSize(h, kh, stride, pad);
     const int ow = convOutSize(w, kw, stride, pad);
-    const Tensor wmat = weight.reshape({cout, cin * kh * kw});
     Tensor y({n, cout, oh, ow});
-    parallelFor(0, n, 1, [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i)
-            conv2dImageInto(x, static_cast<int>(i), wmat, bias, kh, kw,
-                            stride, pad, y);
-    });
+    convForwardBatch(x.data(), n, cin, h, w, kh, kw, stride, pad,
+                     weight.data(), cout,
+                     bias.numel() > 0 ? bias.data() : nullptr, y.data());
     return y;
 }
 

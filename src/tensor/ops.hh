@@ -76,10 +76,10 @@ Tensor conv2dImage(const Tensor &x, int item, const Tensor &wmat,
 /**
  * conv2dImage without the column matrix: for callers that do not need
  * the im2col scratch for a backward pass (inference paths), the image
- * is packed directly into the blocked-GEMM panel layout in arena
- * scratch (tensor/kernels.hh), so steady-state forward convolution
- * performs no heap allocation. Output values are bit-identical to
- * conv2dImage.
+ * runs through convForwardBatch (tensor/kernels.hh) — packed straight
+ * into the blocked-GEMM panel layout in arena scratch, or the direct
+ * conv — so steady-state forward convolution performs no heap
+ * allocation. Output values are bit-identical to conv2dImage.
  */
 void conv2dImageInto(const Tensor &x, int item, const Tensor &wmat,
                      const Tensor &bias, int kh, int kw, int stride,

@@ -21,6 +21,9 @@
  *    -ffp-contract=off, so scalar, AVX2, AVX-512 and NEON variants are
  *    bit-identical (the policy trades the FMA peak for cross-ISA
  *    reproducibility; the throughput headline comes from int8).
+ *  - convDirectF32: the microF32 chain per output element over
+ *    ascending (ci, ky, kx) — the im2col row order — so the direct conv
+ *    is bit-identical to im2col + the blocked GEMM, on every ISA.
  *  - gemmQ8Packed: per-block integer dots are exact in any evaluation
  *    order; the float combine is one chain per output element — one
  *    correctly-rounded fused multiply-add per block, ascending blocks,
@@ -130,6 +133,57 @@ using AffineReluRowFn = void (*)(const float *src, const float *a,
                                  const float *b, std::int64_t k,
                                  bool relu, float *dst);
 
+/** Lanes the direct conv's zero-haloed rows are padded to (one zmm). */
+inline constexpr std::int64_t kConvDirectLanes = 16;
+
+/**
+ * One output-row band of a stride-1 convolution, read from a
+ * zero-haloed copy of the input rows it touches (built by
+ * tensor/kernels.cc convForwardBatch):
+ *
+ *   in[ci·plane + r·ld + x]   haloed input, r < rows + kh - 1; column x
+ *                             is input column x - pad, and every entry
+ *                             outside the image (left/right halo, rows
+ *                             above/below, the tail up to ld) is +0 —
+ *                             exactly the values im2col pads with
+ *   w[co·kdim + (ci·kh + ky)·kw + kx]   weights, kdim = cin·kh·kw
+ *   out[co·ostride + r·ow + x]          output, r < rows, x < ow
+ *
+ * ld >= roundUp(ow, kConvDirectLanes) + kw - 1, so a variant may load
+ * whole vectors along x past ow (the dead lanes are never stored).
+ */
+struct ConvDirectF32Args
+{
+    const float *in;
+    std::int64_t ld;      //!< floats per haloed row
+    std::int64_t plane;   //!< floats per haloed channel plane
+    const float *w;
+    const float *bias;    //!< [cout], or nullptr
+    const float *a;       //!< epilogue scale [cout], or nullptr
+    const float *b;       //!< epilogue shift [cout]; set iff a is
+    bool relu;            //!< epilogue clamp to [+0, inf)
+    float *out;
+    std::int64_t ostride; //!< floats between output channel planes
+    int cin, cout, kh, kw;
+    int ow, rows;
+};
+
+/**
+ * Direct fp32 convolution of one band: no patch matrix, lanes along
+ * output x, the register tile is CO output channels × XV vectors of one
+ * output row. Pinned evaluation contract (identical in every variant):
+ *   - acc starts at +0; for (ci, ky, kx) ascending,
+ *     acc = acc + w·x — a non-fused multiply, then an add (microF32);
+ *   - then acc + bias[co] when bias is given (conv2dImage's second
+ *     pass);
+ *   - then fmaf(a[co], acc, b[co]) when a is given, then
+ *     max(acc, +0) — NaN and -0 map to +0 — when relu (the
+ *     AffineReluRowFn semantics).
+ * Halo lanes contribute w·(+0) like im2col's padding, so NaN, ±Inf and
+ * -0 propagate as they do through im2col + gemmBlocked.
+ */
+using ConvDirectF32Fn = void (*)(const ConvDirectF32Args &args);
+
 namespace detail {
 
 // Scalar reference implementations (kernels_scalar.cc) — always
@@ -147,6 +201,7 @@ void dequantizeRowScalar(const std::int8_t *q, const float *scales,
                          std::int64_t k, float *dst);
 void affineReluRowScalar(const float *src, const float *a, const float *b,
                          std::int64_t k, bool relu, float *dst);
+void convDirectF32Scalar(const ConvDirectF32Args &args);
 
 // AVX2 (kernels_avx2.cc; VPMADDUBSW int8 path via the sign trick on
 // signed A and unbiased B — quantization never emits -128, so pair
@@ -163,6 +218,7 @@ void dequantizeRowAvx2(const std::int8_t *q, const float *scales,
                        std::int64_t k, float *dst);
 void affineReluRowAvx2(const float *src, const float *a, const float *b,
                        std::int64_t k, bool relu, float *dst);
+void convDirectF32Avx2(const ConvDirectF32Args &args);
 
 // AVX-512 F/BW/VL (kernels_avx512.cc). The int8 GEMM has no AVX-512
 // implementation without VNNI — isa.cc falls back to the AVX2 one.
@@ -175,6 +231,7 @@ void dequantizeRowAvx512(const std::int8_t *q, const float *scales,
                          std::int64_t k, float *dst);
 void affineReluRowAvx512(const float *src, const float *a, const float *b,
                          std::int64_t k, bool relu, float *dst);
+void convDirectF32Avx512(const ConvDirectF32Args &args);
 
 // AVX-512 VNNI (kernels_avx512vnni.cc): VPDPBUSD with A biased to
 // unsigned bytes and the packed per-(column, block) correction.
@@ -182,8 +239,9 @@ void gemmQ8PackedVnni(std::int64_t m, const std::int8_t *qa,
                       const float *sa, const PackedQ8View &b, float *c,
                       std::int64_t ldc);
 
-// NEON / AArch64 (kernels_neon.cc). The int8 GEMM slot is the scalar
-// reference (no SDOT kernel until an aarch64 host can verify one).
+// NEON / AArch64 (kernels_neon.cc). The int8 GEMM and direct conv
+// slots are the scalar references (no SDOT or NEON direct-conv kernel
+// until an aarch64 host can verify one).
 void microF32Neon(std::int64_t kc, const float *ap, const float *bp,
                   float *c, std::int64_t ldc, int mr, int nr, bool first);
 void affineReluRowNeon(const float *src, const float *a, const float *b,
@@ -212,6 +270,9 @@ struct KernelSet
     //! Resident-activation epilogue (see AffineReluRowFn); every
     //! compiled-in set provides one.
     simd::AffineReluRowFn affineReluRow = nullptr;
+    //! Direct conv for channel-narrow stride-1 layers (see
+    //! ConvDirectF32Fn); every compiled-in set provides one.
+    simd::ConvDirectF32Fn convDirectF32 = nullptr;
 };
 
 } // namespace leca

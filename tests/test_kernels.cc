@@ -3,18 +3,24 @@
  * The blocked-kernel contract (DESIGN.md §8): gemmBlocked is
  * bit-identical to the retained naive reference at adversarial shapes
  * and at every thread count, the packed conv path matches the
- * materialised-cols path bit for bit, and warm steady-state kernels
- * perform zero heap block allocations (arena hook).
+ * materialised-cols path bit for bit, the direct fp32 conv matches
+ * im2col + gemmReference (and every kernel set matches its scalar
+ * reference) bit for bit, and warm steady-state kernels perform zero
+ * heap block allocations (arena hook).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "nn/conv.hh"
+#include "tensor/isa.hh"
 #include "tensor/kernels.hh"
 #include "tensor/ops.hh"
 #include "util/alloc_guard.hh"
@@ -312,6 +318,339 @@ TEST_F(KernelsTest, WarmGemmRunsUnderDenyAllocScope)
                     c.data(), n, false);
     EXPECT_EQ(deny.violations(), 0u)
         << "warm blocked GEMM allocated on the heap";
+}
+
+/** One direct-conv case of the kernel grid: shapes, epilogue form and
+ *  the inputs, with non-finite values and -0 on the border pixels and
+ *  ±0 among the weights. */
+struct DirectCase
+{
+    int cin, cout, k, pad, h, w;
+    bool bias;
+    int epilogue; // 0 none, 1 relu, 2 affine, 3 affine + relu
+    int oh() const { return h + 2 * pad - k + 1; }
+    int ow() const { return w + 2 * pad - k + 1; }
+
+    std::vector<float> x, wts, b, ea, eb;
+
+    void
+    fill(std::uint64_t seed)
+    {
+        x = randomVec(static_cast<std::size_t>(cin) * h * w, seed);
+        const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                                  std::numeric_limits<float>::infinity(),
+                                  -std::numeric_limits<float>::infinity(),
+                                  -0.0f};
+        int next = 0;
+        for (int ci = 0; ci < cin; ++ci)
+            for (int y = 0; y < h; ++y)
+                for (int xx = 0; xx < w; ++xx) {
+                    // Sparse specials on the border only, so most
+                    // outputs stay finite and the interior is covered.
+                    const bool border =
+                        y == 0 || y == h - 1 || xx == 0 || xx == w - 1;
+                    if (border && (y * 7 + xx * 3 + ci) % 11 == 0)
+                        x[(static_cast<std::size_t>(ci) * h + y) * w + xx] =
+                            specials[next++ % 4];
+                }
+        wts = randomVec(static_cast<std::size_t>(cout) * cin * k * k,
+                        seed + 1);
+        for (std::size_t i = 0; i < wts.size(); i += 5)
+            wts[i] = (i / 5) % 2 ? -0.0f : 0.0f;
+        b = randomVec(static_cast<std::size_t>(cout), seed + 2);
+        ea = randomVec(static_cast<std::size_t>(cout), seed + 3);
+        eb = randomVec(static_cast<std::size_t>(cout), seed + 4);
+    }
+
+    ConvEpilogue
+    epi() const
+    {
+        ConvEpilogue e;
+        if (epilogue >= 2) {
+            e.a = ea.data();
+            e.b = eb.data();
+        }
+        e.relu = epilogue % 2 == 1;
+        return e;
+    }
+};
+
+/** Run one KernelSet's convDirectF32 over the whole output as one band
+ *  read from a zero-haloed copy of the input (the slot's contract). */
+std::vector<float>
+runDirectSlot(const KernelSet &set, const DirectCase &c)
+{
+    const int oh = c.oh(), ow = c.ow();
+    const std::int64_t ld =
+        (ow + simd::kConvDirectLanes - 1) / simd::kConvDirectLanes
+            * simd::kConvDirectLanes
+        + c.k - 1;
+    const std::int64_t hrows = oh + c.k - 1;
+    std::vector<float> halo(static_cast<std::size_t>(c.cin * hrows * ld),
+                            0.0f);
+    for (int ci = 0; ci < c.cin; ++ci)
+        for (int y = 0; y < c.h; ++y)
+            for (int xx = 0; xx < c.w; ++xx)
+                halo[(ci * hrows + y + c.pad) * ld + xx + c.pad] =
+                    c.x[(static_cast<std::size_t>(ci) * c.h + y) * c.w + xx];
+    std::vector<float> out(static_cast<std::size_t>(c.cout) * oh * ow);
+    const ConvEpilogue e = c.epi();
+    simd::ConvDirectF32Args args;
+    args.in = halo.data();
+    args.ld = ld;
+    args.plane = hrows * ld;
+    args.w = c.wts.data();
+    args.bias = c.bias ? c.b.data() : nullptr;
+    args.a = e.a;
+    args.b = e.b;
+    args.relu = e.relu;
+    args.out = out.data();
+    args.ostride = static_cast<std::int64_t>(oh) * ow;
+    args.cin = c.cin;
+    args.cout = c.cout;
+    args.kh = c.k;
+    args.kw = c.k;
+    args.ow = ow;
+    args.rows = oh;
+    set.convDirectF32(args);
+    return out;
+}
+
+/** im2colRaw + gemmReference + conv2dImage's bias pass + the epilogue,
+ *  spelled out. */
+std::vector<float>
+im2colReference(const DirectCase &c)
+{
+    const std::int64_t ohow = static_cast<std::int64_t>(c.oh()) * c.ow();
+    const std::int64_t kdim = static_cast<std::int64_t>(c.cin) * c.k * c.k;
+    std::vector<float> cols(static_cast<std::size_t>(kdim * ohow));
+    im2colRaw(c.x.data(), c.cin, c.h, c.w, c.k, c.k, 1, c.pad, cols.data());
+    std::vector<float> out(static_cast<std::size_t>(c.cout * ohow));
+    gemmReference(c.cout, ohow, kdim, c.wts.data(), kdim, false, cols.data(),
+                  ohow, false, out.data(), ohow, false);
+    const ConvEpilogue e = c.epi();
+    for (int co = 0; co < c.cout; ++co)
+        for (std::int64_t p = 0; p < ohow; ++p) {
+            float &v = out[static_cast<std::size_t>(co * ohow + p)];
+            if (c.bias)
+                v += c.b[static_cast<std::size_t>(co)];
+            if (e.a)
+                v = std::fmaf(e.a[co], v, e.b[co]);
+            if (e.relu)
+                v = v > 0.0f ? v : 0.0f;
+        }
+    return out;
+}
+
+/**
+ * The grid: cin, cout in {1,2,3,4,5,8,17} × k in {1,3,5} × pad in
+ * {0, k/2}; each combination runs every width, with heights (including
+ * 1) and the 8 bias × epilogue forms rotating across the widths so all
+ * of them meet every shape class without a full Cartesian product.
+ */
+template <typename Fn>
+void
+forEachDirectCase(const Fn &fn)
+{
+    const int chans[] = {1, 2, 3, 4, 5, 8, 17};
+    const int widths[] = {1, 7, 15, 16, 17, 24, 33, 48};
+    const int heights[] = {1, 2, 5, 9};
+    int serial = 0;
+    for (int cin : chans)
+        for (int cout : chans)
+            for (int k : {1, 3, 5})
+                for (int pad : {0, k / 2})
+                    for (int w : widths) {
+                        DirectCase c;
+                        c.cin = cin;
+                        c.cout = cout;
+                        c.k = k;
+                        c.pad = pad;
+                        c.w = w;
+                        c.h = heights[serial % 4];
+                        c.bias = (serial / 4) % 2 == 1;
+                        c.epilogue = serial % 4;
+                        ++serial;
+                        if (c.oh() < 1 || c.ow() < 1) {
+                            // Too small for the kernel: grow to fit.
+                            c.h = std::max(c.h, k - 2 * pad);
+                            c.w = std::max(c.w, k - 2 * pad);
+                        }
+                        c.fill(static_cast<std::uint64_t>(serial) * 13 + 5);
+                        fn(c);
+                    }
+}
+
+/**
+ * "" when bit-equal, else the first differing element and its bits.
+ * Any two NaNs compare equal: which NaN an add or multiply of two NaN
+ * operands returns depends on the instruction's operand order, which
+ * compilers may commute — im2col + gemmBlocked and gemmReference
+ * already disagree on NaN sign/payload there. Every non-NaN bit
+ * (including -0 and ±Inf) and the position of every NaN must match.
+ */
+std::string
+firstBitDiff(const std::vector<float> &got, const std::vector<float> &want)
+{
+    if (got.size() != want.size())
+        return "size " + std::to_string(got.size()) + " vs "
+               + std::to_string(want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        std::uint32_t g, w;
+        std::memcpy(&g, &got[i], 4);
+        std::memcpy(&w, &want[i], 4);
+        if (g != w && !(std::isnan(got[i]) && std::isnan(want[i]))) {
+            char buf[96];
+            std::snprintf(buf, sizeof(buf), "element %zu: %08x vs %08x", i,
+                          g, w);
+            return buf;
+        }
+    }
+    return "";
+}
+
+std::string
+describe(const DirectCase &c)
+{
+    return "cin=" + std::to_string(c.cin) + " cout=" + std::to_string(c.cout)
+           + " k=" + std::to_string(c.k) + " pad=" + std::to_string(c.pad)
+           + " h=" + std::to_string(c.h) + " w=" + std::to_string(c.w)
+           + " bias=" + std::to_string(c.bias)
+           + " epilogue=" + std::to_string(c.epilogue);
+}
+
+TEST_F(KernelsTest, DirectConvScalarMatchesIm2colGemmReference)
+{
+    const KernelSet *scalar = kernelSetByName("scalar");
+    ASSERT_NE(scalar, nullptr);
+    int cases = 0;
+    forEachDirectCase([&](const DirectCase &c) {
+        ++cases;
+        EXPECT_EQ(firstBitDiff(runDirectSlot(*scalar, c), im2colReference(c)),
+                  "")
+            << describe(c);
+    });
+    EXPECT_EQ(cases, 7 * 7 * 3 * 2 * 8);
+}
+
+TEST_F(KernelsTest, DirectConvEveryKernelSetMatchesScalar)
+{
+    const KernelSet *scalar = kernelSetByName("scalar");
+    ASSERT_NE(scalar, nullptr);
+    forEachDirectCase([&](const DirectCase &c) {
+        const std::vector<float> want = runDirectSlot(*scalar, c);
+        for (const KernelSet *set : compiledKernelSets()) {
+            if (!hostSupportsKernelSet(*set))
+                continue;
+            ASSERT_NE(set->convDirectF32, nullptr) << set->name;
+            EXPECT_EQ(firstBitDiff(runDirectSlot(*set, c), want), "")
+                << set->name << " " << describe(c);
+        }
+    });
+}
+
+/** The batched entry point (row bands, halo copies, pool split, the fused
+ *  epilogue) against the materialised-cols path per image plus the
+ *  epilogue spelled out, at every thread count — and the packed path's
+ *  epilogue pass for a shape the rule keeps on the GEMM. */
+TEST_F(KernelsTest, ConvForwardBatchMatchesColsPathAtEveryThreadCount)
+{
+    struct Case
+    {
+        int n, cin, cout, h, w, k, pad;
+        bool direct;
+    };
+    // 4->64 at width 48 runs 9-row bands (a tail band too); 17->3 and
+    // 64->3 split one image into several bands; 32->128 at 12x12 stays
+    // on the packed GEMM.
+    const Case cases[] = {
+        {3, 4, 64, 11, 48, 3, 1, true},
+        {1, 17, 3, 60, 48, 3, 1, true},
+        {2, 64, 3, 30, 48, 3, 1, true},
+        {2, 3, 3, 7, 5, 5, 2, true},
+        {1, 3, 32, 13, 13, 1, 0, true},
+        {2, 32, 128, 12, 12, 3, 1, false},
+    };
+    for (const Case &cs : cases) {
+        const int oh = convOutSize(cs.h, cs.k, 1, cs.pad);
+        const int ow = convOutSize(cs.w, cs.k, 1, cs.pad);
+        ASSERT_EQ(convUsesDirect(cs.cin, cs.cout, 1, ow), cs.direct)
+            << "cin=" << cs.cin << " cout=" << cs.cout << " ow=" << ow;
+        Tensor x = Tensor::fromData(
+            {cs.n, cs.cin, cs.h, cs.w},
+            randomVec(static_cast<std::size_t>(cs.n) * cs.cin * cs.h * cs.w,
+                      41));
+        Tensor wmat = Tensor::fromData(
+            {cs.cout, cs.cin * cs.k * cs.k},
+            randomVec(static_cast<std::size_t>(cs.cout) * cs.cin * cs.k
+                          * cs.k,
+                      42));
+        Tensor bias = Tensor::fromData(
+            {cs.cout}, randomVec(static_cast<std::size_t>(cs.cout), 43));
+        const std::vector<float> ea =
+            randomVec(static_cast<std::size_t>(cs.cout), 44);
+        const std::vector<float> eb =
+            randomVec(static_cast<std::size_t>(cs.cout), 45);
+        Tensor plain({cs.n, cs.cout, oh, ow});
+        for (int i = 0; i < cs.n; ++i)
+            conv2dImage(x, i, wmat, bias, cs.k, cs.k, 1, cs.pad, plain);
+        Tensor fused = plain;
+        const std::int64_t ohow = static_cast<std::int64_t>(oh) * ow;
+        for (int i = 0; i < cs.n; ++i)
+            for (int co = 0; co < cs.cout; ++co)
+                for (std::int64_t p = 0; p < ohow; ++p) {
+                    float &v = fused[static_cast<std::size_t>(
+                        (i * cs.cout + co) * ohow + p)];
+                    v = std::fmaf(ea[co], v, eb[co]);
+                    v = v > 0.0f ? v : 0.0f;
+                }
+        for (int threads : {1, 2, 4, 8}) {
+            setThreadCount(threads);
+            for (const bool with_epi : {false, true}) {
+                const ConvEpilogue epi =
+                    with_epi ? ConvEpilogue{ea.data(), eb.data(), true}
+                             : ConvEpilogue{};
+                const Tensor &want = with_epi ? fused : plain;
+                Tensor got({cs.n, cs.cout, oh, ow});
+                convForwardBatch(x.data(), cs.n, cs.cin, cs.h, cs.w, cs.k,
+                                 cs.k, 1, cs.pad, wmat.data(), cs.cout,
+                                 bias.data(), got.data(), epi);
+                EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                         want.numel() * sizeof(float)))
+                    << "cin=" << cs.cin << " cout=" << cs.cout
+                    << " threads=" << threads << " epilogue=" << with_epi;
+            }
+        }
+    }
+}
+
+TEST_F(KernelsTest, WarmDirectConvRunsUnderDenyAllocScope)
+{
+    if (!allocGuardEnabled())
+        GTEST_SKIP() << "built without LECA_ALLOC_GUARD";
+    setThreadCount(2);
+    Rng rng(43);
+    // The decoder's 3->64 and 64->3 shapes at a small extent: several
+    // bands per image, so both pool threads claim units.
+    Conv2d widen(3, 64, 3, 1, 1, false, rng);
+    Conv2d head(64, 3, 3, 1, 1, true, rng);
+    ASSERT_TRUE(convUsesDirect(3, 64, 1, 48));
+    ASSERT_TRUE(convUsesDirect(64, 3, 1, 48));
+    Tensor x = Tensor::fromData(
+        {2, 3, 24, 48},
+        randomVec(static_cast<std::size_t>(2) * 3 * 24 * 48, 44));
+    Tensor y0;
+    for (int i = 0; i < 3; ++i)
+        y0 = head.forward(widen.forward(x, Mode::Eval), Mode::Eval);
+    warmPoolArenas();
+    DenyAllocScope deny;
+    for (int i = 0; i < 5; ++i) {
+        const Tensor y = head.forward(widen.forward(x, Mode::Eval), Mode::Eval);
+        ASSERT_EQ(0, std::memcmp(y.data(), y0.data(),
+                                 y.numel() * sizeof(float)));
+    }
+    EXPECT_EQ(deny.violations(), 0u)
+        << "warm direct conv allocated on the heap";
 }
 
 TEST_F(KernelsTest, Im2colRoundTripAdjoint)

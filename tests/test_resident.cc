@@ -6,9 +6,11 @@
  * every compiled kernel set, pooling straight over codes matches
  * pooling the dequantized planes bit for bit, the Sequential planner
  * places precision boundaries exactly where the step kinds change,
- * mixed quantized/fp32 chains still track the fp32 network, a
- * quantize()d pipeline and a loadQuantized() restore of it infer
- * identically, and the warm planned forward is heap-silent.
+ * mixed quantized/fp32 chains still track the fp32 network, narrow
+ * quantized convs fold their BatchNorm/ReLU into the direct fp32 conv
+ * (ConvFp32) bit-exactly, a quantize()d pipeline and a loadQuantized()
+ * restore of it infer identically, and the warm planned forward is
+ * heap-silent.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include <cstring>
 #include <vector>
 
+#include "core/decoder.hh"
 #include "core/pipeline.hh"
 #include "data/backbone.hh"
 #include "nn/activation.hh"
@@ -27,6 +30,7 @@
 #include "nn/pool.hh"
 #include "nn/sequential.hh"
 #include "tensor/isa.hh"
+#include "tensor/kernels.hh"
 #include "tensor/ops.hh"
 #include "tensor/quant.hh"
 #include "util/alloc_guard.hh"
@@ -424,6 +428,123 @@ TEST_F(ResidentTest, FusedEntryFoldsBnReluIntoBoundary)
     }
 }
 
+/** Quantized 64->3 conv + BN + ReLU: too narrow on the output side to
+ *  run resident, so the planner folds the BN and ReLU into the direct
+ *  fp32 conv's epilogue — one ConvFp32 step, bit-identical to a hand
+ *  computation over the code-derived weights and across threads. */
+TEST_F(ResidentTest, ConvFp32FoldsBnReluIntoDirectConv)
+{
+    Rng rng(193);
+    Sequential net;
+    Conv2d &conv = net.emplace<Conv2d>(64, 3, 3, 1, 1, true, rng);
+    BatchNorm2d &bn = net.emplace<BatchNorm2d>(3);
+    net.emplace<Relu>();
+    // Non-trivial eval statistics and affine.
+    const std::vector<float> stats = randomVec(12, 197);
+    for (int ch = 0; ch < 3; ++ch) {
+        bn.params()[0]->value[ch] = 1.0f + stats[ch];          // gamma
+        bn.params()[1]->value[ch] = stats[3 + ch];             // beta
+        (*bn.state()[0])[ch] = 0.5f * stats[6 + ch];           // mean
+        (*bn.state()[1])[ch] = 1.0f + std::fabs(stats[9 + ch]); // var
+    }
+    std::vector<QuantStat> qstats;
+    net.quantizeWeights(qstats);
+    ASSERT_TRUE(net.hasQuantPlan());
+    const auto &plan = net.quantPlan();
+    ASSERT_EQ(plan.size(), 1u);
+    EXPECT_EQ(plan[0].kind, QuantStep::Kind::ConvFp32);
+    EXPECT_EQ(plan[0].conv, &conv);
+    EXPECT_EQ(plan[0].bn, &bn);
+    EXPECT_TRUE(plan[0].relu);
+    EXPECT_FALSE(plan[0].emitQuant);
+
+    const int n = 2, h = 9, w = 11;
+    Tensor x = Tensor::fromData(
+        {n, 64, h, w},
+        randomVec(static_cast<std::size_t>(n) * 64 * h * w, 199));
+    // By hand: im2col + the naive GEMM over the weights dequantized
+    // from the codes, then fmaf(a, ., b) with the bias folded into b
+    // exactly as the resident epilogue folds it, then ReLU.
+    const Tensor wq = dequantizeRowMajor(*conv.quantTensors()[0]);
+    const int kdim = 64 * 9;
+    const std::int64_t ohow = static_cast<std::int64_t>(h) * w;
+    std::vector<float> cols(static_cast<std::size_t>(kdim * ohow));
+    std::vector<float> a(3), b(3);
+    bn.evalAffineInto(a.data(), b.data());
+    for (int ch = 0; ch < 3; ++ch)
+        b[ch] = std::fmaf(a[ch], conv.bias().value[ch], b[ch]);
+    std::vector<float> want(static_cast<std::size_t>(n * 3 * ohow));
+    for (int i = 0; i < n; ++i) {
+        im2colRaw(x.data() + static_cast<std::size_t>(i) * 64 * h * w, 64,
+                  h, w, 3, 3, 1, 1, cols.data());
+        float *dst = want.data() + static_cast<std::size_t>(i) * 3 * ohow;
+        gemmReference(3, ohow, kdim, wq.data(), kdim, false, cols.data(),
+                      ohow, false, dst, ohow, false);
+        for (int ch = 0; ch < 3; ++ch)
+            for (std::int64_t p = 0; p < ohow; ++p) {
+                const float v = std::fmaf(a[ch], dst[ch * ohow + p], b[ch]);
+                dst[ch * ohow + p] = v > 0.0f ? v : 0.0f;
+            }
+    }
+    for (int threads : {1, 2, 5}) {
+        setThreadCount(threads);
+        const Tensor got = net.forward(x, Mode::Eval);
+        ASSERT_EQ(got.numel(), want.size());
+        EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 want.size() * sizeof(float)))
+            << "threads=" << threads;
+    }
+}
+
+/** The F=64 serving decoder: upsample, three 3->3 taps with their ReLU
+ *  folded, 3->64 with BN + ReLU folded, and the 64->3 head — all fp32
+ *  direct convs, with no resident step, no entry quantize and no int8
+ *  head — bit-identical across thread counts. */
+TEST_F(ResidentTest, ServingDecoderPlansAsDirectFp32Convs)
+{
+    LecaConfig cfg;
+    cfg.nch = 8;
+    cfg.decoderDncnnLayers = 3;
+    cfg.decoderFilters = 64;
+    Rng rng(211);
+    LecaDecoder dec(cfg, rng);
+    std::vector<QuantStat> stats;
+    dec.quantizeWeights(stats);
+    const auto &plan = dec.quantPlan();
+    ASSERT_EQ(plan.size(), 6u);
+    EXPECT_EQ(plan[0].kind, QuantStep::Kind::Plain); // ConvTranspose2d
+    for (int m = 1; m <= 3; ++m) {
+        EXPECT_EQ(plan[m].kind, QuantStep::Kind::ConvFp32) << "tap " << m;
+        EXPECT_EQ(plan[m].conv->cin(), 3);
+        EXPECT_EQ(plan[m].conv->cout(), 3);
+        EXPECT_EQ(plan[m].bn, nullptr);
+        EXPECT_TRUE(plan[m].relu);
+    }
+    EXPECT_EQ(plan[4].kind, QuantStep::Kind::ConvFp32);
+    EXPECT_EQ(plan[4].conv->cout(), 64);
+    EXPECT_NE(plan[4].bn, nullptr);
+    EXPECT_TRUE(plan[4].relu);
+    EXPECT_EQ(plan[5].kind, QuantStep::Kind::Plain); // the 64->3 head
+    for (const QuantStep &st : plan)
+        EXPECT_FALSE(st.emitQuant);
+
+    // The planned decoder over a 48x48 batch (K = 2 features) is
+    // bit-identical at every thread count.
+    Tensor x = Tensor::fromData(
+        {3, 8, 24, 24},
+        randomVec(static_cast<std::size_t>(3) * 8 * 24 * 24, 223));
+    setThreadCount(1);
+    const Tensor base = dec.forward(x, Mode::Eval);
+    for (int threads : {2, 4, 8}) {
+        setThreadCount(threads);
+        const Tensor got = dec.forward(x, Mode::Eval);
+        ASSERT_EQ(got.numel(), base.numel());
+        EXPECT_EQ(0, std::memcmp(got.data(), base.data(),
+                                 base.numel() * sizeof(float)))
+            << "threads=" << threads;
+    }
+}
+
 TEST_F(ResidentTest, PlannedForwardBitIdenticalAcrossThreadCounts)
 {
     Rng rng(167);
@@ -455,35 +576,54 @@ TEST_F(ResidentTest, PlannedForwardBitIdenticalAcrossThreadCounts)
 
 TEST_F(ResidentTest, QuantizeAndLoadQuantizedInferIdentically)
 {
-    const auto make = [] {
-        LecaConfig cfg;
-        cfg.nch = 4;
-        Rng rng(7);
-        auto bb = makeBackbone(BackboneStyle::Proxy, 3, 5, rng);
-        LecaPipeline::Options options;
-        options.leca = cfg;
-        options.seed = 11;
-        return std::make_unique<LecaPipeline>(options, std::move(bb));
+    // The proxy pipeline, and the F=64 serving pipeline (Full backbone,
+    // 3 DnCNN taps, 64-filter head at 48x48) whose decoder plans as
+    // direct fp32 convs.
+    struct Setup
+    {
+        bool serving;
+        int hw;
     };
-    Tensor x({2, 3, 32, 32});
-    const std::vector<float> v =
-        randomVec(static_cast<std::size_t>(2) * 3 * 32 * 32, 179);
-    std::memcpy(x.data(), v.data(), v.size() * sizeof(float));
+    for (const Setup su : {Setup{false, 32}, Setup{true, 48}}) {
+        const auto make = [&] {
+            LecaConfig cfg;
+            cfg.nch = su.serving ? 8 : 4;
+            if (su.serving) {
+                cfg.decoderDncnnLayers = 3;
+                cfg.decoderFilters = 64;
+            }
+            Rng rng(7);
+            auto bb = makeBackbone(su.serving ? BackboneStyle::Full
+                                              : BackboneStyle::Proxy,
+                                   3, 5, rng);
+            LecaPipeline::Options options;
+            options.leca = cfg;
+            options.seed = 11;
+            return std::make_unique<LecaPipeline>(options, std::move(bb));
+        };
+        Tensor x({2, 3, su.hw, su.hw});
+        const std::vector<float> v =
+            randomVec(static_cast<std::size_t>(2) * 3 * su.hw * su.hw, 179);
+        std::memcpy(x.data(), v.data(), v.size() * sizeof(float));
 
-    auto original = make();
-    original->quantize();
-    const Tensor want = original->forward(x, Mode::Eval);
+        auto original = make();
+        original->quantize();
+        const Tensor want = original->forward(x, Mode::Eval);
 
-    const std::string path =
-        ::testing::TempDir() + "/leca_resident_pipeline.ckpt";
-    original->saveQuantized(path);
-    auto restored = make();
-    ASSERT_TRUE(restored->loadQuantized(path));
-    const Tensor got = restored->forward(x, Mode::Eval);
-    ASSERT_EQ(got.numel(), want.numel());
-    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
-                             want.numel() * sizeof(float)))
-        << "loadQuantized inference differs from the quantize()d one";
+        const std::string path =
+            ::testing::TempDir() + "/leca_resident_pipeline.ckpt";
+        original->saveQuantized(path);
+        auto restored = make();
+        ASSERT_TRUE(restored->loadQuantized(path));
+        if (su.serving)
+            EXPECT_EQ(restored->decoder().quantPlan().size(), 6u);
+        const Tensor got = restored->forward(x, Mode::Eval);
+        ASSERT_EQ(got.numel(), want.numel());
+        EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 want.numel() * sizeof(float)))
+            << "loadQuantized inference differs from the quantize()d one"
+            << (su.serving ? " (serving geometry)" : "");
+    }
 }
 
 TEST_F(ResidentTest, WarmPlannedForwardRunsUnderDenyAllocScope)
