@@ -27,6 +27,7 @@
 #include "hw/sensor_chip.hh"
 #include "hw/weights.hh"
 #include "json_report.hh"
+#include "nn/conv.hh"
 #include "tensor/isa.hh"
 #include "tensor/kernels.hh"
 #include "tensor/ops.hh"
@@ -523,6 +524,72 @@ compareConvPaths(leca::bench::JsonReport &report)
 }
 
 /**
+ * Conv2d::backward at batch 32 on the train_proxy24 geometry: every
+ * Proxy-backbone conv shape the frozen-backbone step runs plus the
+ * decoder head, each with trainable parameters (dW, db and dX) and
+ * frozen ones (dX only — the backbone's case in joint training). The
+ * dX route (adjoint direct conv or GEMM + col2im) is the shape's own,
+ * printed in the last column.
+ */
+void
+compareConvBackward(leca::bench::JsonReport &report)
+{
+    struct Shape
+    {
+        const char *name;
+        int cin, cout, hw;
+        bool bias;
+    };
+    const Shape shapes[] = {
+        {"convbwd_3x24_c16", 3, 16, 24, false},  // Proxy stem
+        {"convbwd_16x24_c16", 16, 16, 24, false}, // rb1
+        {"convbwd_32x12_c32", 32, 32, 12, false}, // rb2.conv2
+        {"convbwd_64x6_c64", 64, 64, 6, false},  // rb3.conv2
+        {"convbwd_16x24_c3_dec", 16, 3, 24, true}, // decoder head
+    };
+    const int batch = 32;
+    const int reps = 6;
+
+    Table table({"shape", "trainable ms", "frozen ms", "frozen/train",
+                 "dX route"});
+    for (const Shape &s : shapes) {
+        Rng rng(31);
+        Conv2d conv(s.cin, s.cout, 3, 1, 1, s.bias, rng);
+        const Tensor x = randomTensor({batch, s.cin, s.hw, s.hw}, 32);
+        const Tensor dy = randomTensor({batch, s.cout, s.hw, s.hw}, 33);
+        // Mean backward wall time over reps after one warm-up; each
+        // backward needs its own Train forward, which is not timed.
+        const auto time = [&](bool frozen) {
+            conv.freeze(frozen);
+            double total_ms = 0.0;
+            for (int r = 0; r <= reps; ++r) {
+                conv.forward(x, Mode::Train);
+                const auto t0 = std::chrono::steady_clock::now();
+                Tensor dx = conv.backward(dy);
+                benchmark::DoNotOptimize(dx.data());
+                const auto t1 = std::chrono::steady_clock::now();
+                if (r > 0)
+                    total_ms += std::chrono::duration<double, std::milli>(
+                                    t1 - t0)
+                                    .count();
+            }
+            return total_ms / reps;
+        };
+        const double train_ms = time(false);
+        const double frozen_ms = time(true);
+        table.addRow({s.name, Table::num(train_ms, 3),
+                      Table::num(frozen_ms, 3),
+                      Table::num(frozen_ms / train_ms, 2),
+                      conv.adjointDx(s.hw) ? "adjoint" : "gemm+col2im"});
+        report.add(std::string(s.name) + "_trainable", train_ms, 0.0);
+        report.add(std::string(s.name) + "_frozen", frozen_ms, 0.0);
+    }
+    printBanner(std::cout, "Conv2d::backward per Proxy/decoder shape "
+                           "(batch 32, train_proxy24 geometry)");
+    table.print(std::cout);
+}
+
+/**
  * End-to-end training-path throughput: full trainClassifier calls
  * (gather + augment + forward + backward + Adam + batch-norm refresh)
  * on a small SyntheticVision problem shaped like the fig10/fig11
@@ -625,6 +692,7 @@ main(int argc, char **argv)
     compareKernels(report);
     compareQuantKernels(report);
     compareConvPaths(report);
+    compareConvBackward(report);
     if (report.enabled()) {
         reportJson(report);
         reportTrainEpoch(report);

@@ -10,7 +10,6 @@
 #include "tensor/ops.hh"
 #include "util/arena.hh"
 #include "util/check.hh"
-#include "util/logging.hh"
 #include "util/numeric.hh"
 #include "util/parallel.hh"
 
@@ -111,7 +110,8 @@ LecaEncoder::forward(const Tensor &x, Mode mode)
       case EncoderModality::Noisy:
         return forwardHard(x, mode, true);
     }
-    panic("unknown modality");
+    LECA_CHECK(false, "unknown modality ", static_cast<int>(_modality));
+    return {};
 }
 
 Tensor

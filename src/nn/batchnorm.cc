@@ -132,10 +132,13 @@ BatchNorm2d::backward(const Tensor &grad_out)
                 sum_dy_xhat += static_cast<double>(dy[p]) * xh[p];
             }
         }
-        _gamma.grad[static_cast<std::size_t>(ch)] +=
-            static_cast<float>(sum_dy_xhat);
-        _beta.grad[static_cast<std::size_t>(ch)] +=
-            static_cast<float>(sum_dy);
+        // Frozen γ/β get no gradient; dX needs the sums either way.
+        if (!_gamma.frozen)
+            _gamma.grad[static_cast<std::size_t>(ch)] +=
+                static_cast<float>(sum_dy_xhat);
+        if (!_beta.frozen)
+            _beta.grad[static_cast<std::size_t>(ch)] +=
+                static_cast<float>(sum_dy);
 
         const float mean_dy = static_cast<float>(sum_dy / count);
         const float mean_dy_xhat = static_cast<float>(sum_dy_xhat / count);

@@ -20,12 +20,14 @@ namespace leca {
  *
  * Forward runs convForwardBatch — the direct conv for the shapes
  * convUsesDirect takes, else each image's im2col packed straight into
- * arena scratch (no column matrix is ever materialised); backward
- * recomputes the packed im2col per image and produces dW = dY * cols^T
- * (with db fused as the trailing GEMM column), and dX via col2im of
- * W^T * dY — all scratch
- * and gradient partials live in the thread-local Arena, so a warm
- * train step performs zero heap allocation inside this layer.
+ * arena scratch (no column matrix is ever materialised). Backward
+ * (DESIGN.md §9):
+ *  - dW = dY * cols^T over the recomputed im2col per image, with db
+ *    fused as the trailing GEMM column — skipped entirely when the
+ *    weight and bias are frozen, whose grads then stay untouched;
+ *  - dX as one direct conv over dY with the rotated, channel-transposed
+ *    weights when adjointDx() holds, else col2im of W^T * dY.
+ * All scratch and gradient partials live in the thread-local Arena.
  */
 class Conv2d : public Layer
 {
@@ -57,6 +59,16 @@ class Conv2d : public Layer
     int cin() const { return _cin; }
     int cout() const { return _cout; }
     bool quantized() const { return !_qweight.empty(); }
+
+    /**
+     * Whether backward computes dX for an input of width @p w as the
+     * adjoint direct conv: stride 1, pad < k, and convUsesDirect
+     * taking the adjoint shape (cout -> cin at width w). Its contract:
+     * each dX element is one ascending (co, ky, kx) chain over the
+     * 180°-rotated weights, like the forward direct conv — not the
+     * (co)-then-col2im order of W^T * dY.
+     */
+    bool adjointDx(int w) const;
 
     /**
      * The HWC-laid resident weight layout (empty until

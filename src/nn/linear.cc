@@ -47,14 +47,17 @@ Linear::backward(const Tensor &grad_out)
     LECA_CHECK(grad_out.dim() == 2 && grad_out.size(1) == _out
                    && grad_out.size(0) == _input.size(0),
                "Linear grad shape ", detail::formatShape(grad_out.shape()));
-    // dW = dY^T * X  -> [out, in]
-    _weight.grad += matmulTransA(grad_out, _input);
+    // dW = dY^T * X  -> [out, in]; frozen parameters get no gradient.
+    if (!_weight.frozen)
+        _weight.grad += matmulTransA(grad_out, _input);
     const int n = grad_out.size(0);
-    for (int j = 0; j < _out; ++j) {
-        float acc = 0.0f;
-        for (int i = 0; i < n; ++i)
-            acc += grad_out.at(i, j);
-        _bias.grad[static_cast<std::size_t>(j)] += acc;
+    if (!_bias.frozen) {
+        for (int j = 0; j < _out; ++j) {
+            float acc = 0.0f;
+            for (int i = 0; i < n; ++i)
+                acc += grad_out.at(i, j);
+            _bias.grad[static_cast<std::size_t>(j)] += acc;
+        }
     }
     // dX = dY * W
     Tensor dx = matmul(grad_out, _weight.value);

@@ -14,10 +14,12 @@ namespace leca {
 /**
  * A learnable tensor with its gradient.
  *
- * `frozen` reproduces the paper's frozen-backbone training: gradients
- * still flow *through* the parameter's layer during backpropagation, but
- * optimizers skip the update (Sec. 3.4, "Joint training with backbone
- * DNN").
+ * `frozen` reproduces the paper's frozen-backbone training (Sec. 3.4,
+ * "Joint training with backbone DNN"): gradients still flow *through*
+ * the parameter's layer to its input during backpropagation, but the
+ * layer computes no gradient for the parameter itself — its `grad`
+ * stays as it was (zero after zeroGrad) — and optimizers skip the
+ * update.
  */
 struct Param
 {

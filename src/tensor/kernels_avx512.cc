@@ -34,6 +34,36 @@ constexpr int kConvMaxCo = 8;
 constexpr int kConvMaxXv = 4;
 constexpr int kConvAccRegs = 24;
 
+/**
+ * Full lane mask. GCC 12's unmasked forms of several intrinsics pass an
+ * "undefined" source that trips -Wmaybe-uninitialized once inlined; the
+ * zero-masked form with every lane live is the same instruction.
+ */
+constexpr __mmask16 kAll = 0xFFFF;
+
+/**
+ * _mm512_reduce_max_ps with the masked extract: the same max tree
+ * (upper half vs lower half, then 128-bit halves, then pairs), so the
+ * same result bits, NaN lanes included.
+ */
+inline float
+reduceMax(__m512 v)
+{
+    const __m512d d = _mm512_castps_pd(v);
+    const __m256 hi =
+        _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xF, d, 1));
+    const __m256 lo =
+        _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xF, d, 0));
+    const __m256 t3 = _mm256_max_ps(hi, lo);
+    const __m128 t6 = _mm_max_ps(_mm256_extractf128_ps(t3, 1),
+                                 _mm256_extractf128_ps(t3, 0));
+    const __m128 t8 =
+        _mm_max_ps(t6, _mm_shuffle_ps(t6, t6, _MM_SHUFFLE(1, 0, 3, 2)));
+    const __m128 t10 =
+        _mm_max_ps(t8, _mm_shuffle_ps(t8, t8, _MM_SHUFFLE(0, 1, 0, 1)));
+    return _mm_cvtss_f32(t10);
+}
+
 inline __mmask16
 tailMask(int live)
 {
@@ -96,10 +126,7 @@ convTile(const ConvDirectF32Args &g, int co0, int r, int x0, int live)
             if (g.relu)
                 // max(v, +0): the second operand is returned for NaN and
                 // for (-0, +0) ties, matching the scalar v > 0 ? v : 0.
-                // (Masked form: GCC 12's unmasked one trips
-                // -Wmaybe-uninitialized.)
-                v = _mm512_maskz_max_ps(static_cast<__mmask16>(0xFFFF), v,
-                                        zero);
+                v = _mm512_maskz_max_ps(kAll, v, zero);
             _mm512_mask_storeu_ps(orow + 16 * j, tailMask(live - 16 * j),
                                   v);
         }
@@ -154,21 +181,21 @@ quantizeRowAvx512(const float *src, std::int64_t k, std::int8_t *q,
         if (lo + 32 <= k) {
             const __m512 v0 = _mm512_loadu_ps(src + lo);
             const __m512 v1 = _mm512_loadu_ps(src + lo + 16);
-            const __m512 mx =
-                _mm512_max_ps(_mm512_abs_ps(v0), _mm512_abs_ps(v1));
-            const float amax = _mm512_reduce_max_ps(mx);
+            const __m512 mx = _mm512_maskz_max_ps(kAll, _mm512_abs_ps(v0),
+                                                  _mm512_abs_ps(v1));
+            const float amax = reduceMax(mx);
             const float inv = amax > 0.0f ? 127.0f / amax : 0.0f;
             scales[b] = amax / 127.0f;
             const __m512 iv = _mm512_set1_ps(inv);
             const __m512i i0 =
-                _mm512_cvtps_epi32(_mm512_mul_ps(v0, iv));
+                _mm512_maskz_cvtps_epi32(kAll, _mm512_mul_ps(v0, iv));
             const __m512i i1 =
-                _mm512_cvtps_epi32(_mm512_mul_ps(v1, iv));
+                _mm512_maskz_cvtps_epi32(kAll, _mm512_mul_ps(v1, iv));
             // VPMOVSDB narrows lane-ordered — no repair permute needed.
             _mm_storeu_si128(reinterpret_cast<__m128i *>(q + lo),
-                             _mm512_cvtsepi32_epi8(i0));
+                             _mm512_maskz_cvtsepi32_epi8(kAll, i0));
             _mm_storeu_si128(reinterpret_cast<__m128i *>(q + lo + 16),
-                             _mm512_cvtsepi32_epi8(i1));
+                             _mm512_maskz_cvtsepi32_epi8(kAll, i1));
         } else {
             float amax = 0.0f;
             for (std::int64_t jj = lo; jj < k; ++jj) {
@@ -202,7 +229,7 @@ affineReluRowAvx512(const float *src, const float *a, const float *b,
         if (relu)
             // max(v, +0): second operand returned for (-0, +0) ties,
             // matching the scalar v > 0 ? v : 0.
-            v = _mm512_max_ps(v, zero);
+            v = _mm512_maskz_max_ps(kAll, v, zero);
         _mm512_storeu_ps(dst + j, v);
     }
     if (j < k) {
@@ -211,7 +238,7 @@ affineReluRowAvx512(const float *src, const float *a, const float *b,
                                    _mm512_maskz_loadu_ps(m, src + j),
                                    _mm512_maskz_loadu_ps(m, b + j));
         if (relu)
-            v = _mm512_max_ps(v, zero);
+            v = _mm512_maskz_max_ps(kAll, v, zero);
         _mm512_mask_storeu_ps(dst + j, m, v);
     }
 }
@@ -253,8 +280,8 @@ dequantizeRowAvx512(const std::int8_t *q, const float *scales,
             for (int h = 0; h < 2; ++h) {
                 const __m128i q8 = _mm_loadu_si128(
                     reinterpret_cast<const __m128i *>(q + lo + 16 * h));
-                const __m512i q32 = _mm512_cvtepi8_epi32(q8);
-                const __m512 f = _mm512_cvtepi32_ps(q32);
+                const __m512i q32 = _mm512_maskz_cvtepi8_epi32(kAll, q8);
+                const __m512 f = _mm512_maskz_cvtepi32_ps(kAll, q32);
                 _mm512_storeu_ps(dst + lo + 16 * h,
                                  _mm512_mul_ps(f, sv));
             }

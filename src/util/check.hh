@@ -15,9 +15,8 @@
  *                 the condition and message stay type-checked in every
  *                 build.
  *
- * The older panic()-based LECA_ASSERT (util/logging.hh) remains for
- * "impossible" states where unwinding is meaningless (corrupt internal
- * caches). New validation code should prefer the macros here.
+ * Every internal invariant goes through these macros; util/logging.hh
+ * only reports status (inform/warn) and user errors (fatal).
  */
 
 #ifndef LECA_UTIL_CHECK_HH

@@ -4,7 +4,6 @@
  *
  * fatal()  - the simulation cannot continue because of a user error
  *            (bad configuration, invalid argument); exits with code 1.
- * panic()  - an internal invariant was violated (a bug); aborts.
  * warn()   - something works but not as well as it should.
  * inform() - normal operating status for the user.
  */
@@ -61,25 +60,6 @@ fatal(Args &&...args)
               << "\n";
     std::exit(1);
 }
-
-/** Abort due to an internal bug (invariant violation). */
-template <typename... Args>
-[[noreturn]] void
-panic(Args &&...args)
-{
-    std::cerr << "panic: " << detail::concat(std::forward<Args>(args)...)
-              << "\n";
-    std::abort();
-}
-
-/** panic() unless a condition holds. */
-#define LECA_ASSERT(cond, ...)                                               \
-    do {                                                                     \
-        if (!(cond)) {                                                       \
-            ::leca::panic("assertion '", #cond, "' failed at ", __FILE__,    \
-                          ":", __LINE__, " ", ##__VA_ARGS__);                \
-        }                                                                    \
-    } while (0)
 
 } // namespace leca
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 
 #include "core/decoder.hh"
@@ -23,8 +24,10 @@
 #include "hw/sensor_chip.hh"
 #include "hw/weights.hh"
 #include "nn/loss.hh"
+#include "tensor/isa.hh"
 #include "tensor/ops.hh"
 #include "util/check.hh"
+#include "util/parallel.hh"
 
 namespace leca {
 namespace {
@@ -397,6 +400,109 @@ TEST_F(PipelineTest, UnfreezeBackboneAblation)
     opts.batchSize = 16;
     trainer.train(_train, _val, opts);
     EXPECT_NE(bb_param->value[0], before);
+}
+
+/**
+ * One Train forward + backward of a fresh pipeline (untrained Proxy
+ * backbone, fixed seeds) on a fixed batch; returns the pipeline with
+ * its gradients in place.
+ */
+std::unique_ptr<LecaPipeline>
+trainStepPipeline(bool backbone_frozen)
+{
+    Rng rng(3);
+    auto backbone = makeBackbone(BackboneStyle::Proxy, 3, 4, rng);
+    LecaPipeline::Options options;
+    options.leca = tinyConfig();
+    options.seed = 21;
+    auto pipe = std::make_unique<LecaPipeline>(options, std::move(backbone));
+    pipe->setBackboneFrozen(backbone_frozen);
+    Tensor x({8, 3, 16, 16});
+    Rng data(5);
+    for (std::size_t i = 0; i < x.numel(); ++i)
+        x[i] = static_cast<float>(data.uniform(0.0, 1.0));
+    const std::vector<int> labels = {0, 1, 2, 3, 0, 1, 2, 3};
+    for (Param *p : pipe->allParams())
+        p->zeroGrad();
+    SoftmaxCrossEntropy loss;
+    loss.forward(pipe->forward(x, Mode::Train), labels);
+    pipe->backward(loss.backward());
+    return pipe;
+}
+
+TEST(FrozenBackbone, BackboneGradsStayZero)
+{
+    auto pipe = trainStepPipeline(true);
+    for (Param *p : pipe->backbone().params()) {
+        ASSERT_TRUE(p->frozen);
+        for (std::size_t i = 0; i < p->grad.numel(); ++i)
+            ASSERT_EQ(p->grad[i], 0.0f) << "frozen grad element " << i;
+    }
+}
+
+TEST(FrozenBackbone, TrainableGradsMatchUnfrozenStep)
+{
+    // Skipping the backbone's weight gradients changes no bit of what
+    // flows back to the encoder and decoder.
+    auto frozen = trainStepPipeline(true);
+    auto live = trainStepPipeline(false);
+    const auto trainable = [](LecaPipeline &p) {
+        std::vector<Param *> out = p.encoder().params();
+        for (Param *q : p.decoder().params())
+            out.push_back(q);
+        return out;
+    };
+    const std::vector<Param *> a = trainable(*frozen);
+    const std::vector<Param *> b = trainable(*live);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a[i]->grad.numel(), b[i]->grad.numel());
+        EXPECT_EQ(0, std::memcmp(a[i]->grad.data(), b[i]->grad.data(),
+                                 a[i]->grad.numel() * sizeof(float)))
+            << "param " << i;
+    }
+    // The unfrozen backbone did get gradients.
+    bool any = false;
+    for (Param *p : live->backbone().params())
+        for (std::size_t i = 0; i < p->grad.numel() && !any; ++i)
+            any = p->grad[i] != 0.0f;
+    EXPECT_TRUE(any);
+}
+
+TEST(FrozenBackbone, TrainableGradsInvariantAcrossThreadsAndIsas)
+{
+    // The frozen-backbone step's trainable gradients — everything Adam
+    // consumes — are the same bits at every thread count and under
+    // every kernel set this host runs.
+    struct RestoreThreads
+    {
+        int n;
+        ~RestoreThreads() { setThreadCount(n); }
+    } restore{threadCount()};
+    const auto grads = [] {
+        auto pipe = trainStepPipeline(true);
+        std::vector<float> out;
+        for (Param *p : pipe->allParams())
+            if (!p->frozen)
+                out.insert(out.end(), p->grad.data(),
+                           p->grad.data() + p->grad.numel());
+        return out;
+    };
+    setThreadCount(1);
+    const std::vector<float> want = grads();
+    for (const KernelSet *set : compiledKernelSets()) {
+        if (!hostSupportsKernelSet(*set))
+            continue;
+        ScopedKernelOverride isa(*set);
+        for (int threads : {1, 2, 4, 8}) {
+            setThreadCount(threads);
+            const std::vector<float> got = grads();
+            ASSERT_EQ(got.size(), want.size());
+            EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                     want.size() * sizeof(float)))
+                << set->name << " threads=" << threads;
+        }
+    }
 }
 
 TEST(EncoderScale, ModalitySwitchReseedsScale)

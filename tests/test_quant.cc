@@ -163,8 +163,9 @@ TEST_F(QuantTest, CodesStayInSymmetricRangeAndPaddingIsZero)
             const std::int8_t code =
                 qt.q[static_cast<std::size_t>(i * qt.nb * kQuantBlock + j)];
             EXPECT_NE(code, -128) << "row " << i << " lane " << j;
-            if (j >= qt.cols)
+            if (j >= qt.cols) {
                 EXPECT_EQ(code, 0) << "padding lane " << j << " not zero";
+            }
         }
 }
 

@@ -615,8 +615,9 @@ TEST_F(ResidentTest, QuantizeAndLoadQuantizedInferIdentically)
         original->saveQuantized(path);
         auto restored = make();
         ASSERT_TRUE(restored->loadQuantized(path));
-        if (su.serving)
+        if (su.serving) {
             EXPECT_EQ(restored->decoder().quantPlan().size(), 6u);
+        }
         const Tensor got = restored->forward(x, Mode::Eval);
         ASSERT_EQ(got.numel(), want.numel());
         EXPECT_EQ(0, std::memcmp(got.data(), want.data(),

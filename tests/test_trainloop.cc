@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "nn/conv_transpose.hh"
 #include "nn/loss.hh"
 #include "nn/optimizer.hh"
+#include "tensor/isa.hh"
 #include "tensor/kernels.hh"
 #include "util/alloc_guard.hh"
 #include "util/arena.hh"
@@ -49,6 +52,64 @@ randomTensor(std::vector<int> shape, std::uint64_t seed)
     for (std::size_t i = 0; i < t.numel(); ++i)
         t[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
     return t;
+}
+
+/**
+ * The adjoint-route dX chain of a stride-1 conv (Conv2d::adjointDx):
+ * per image, im2col of dY at pad k-1-pad times the 180°-rotated,
+ * channel-transposed weights through gemmReference — each element one
+ * ascending (co, ky, kx) chain.
+ */
+std::vector<float>
+adjointDxReference(const Tensor &dy, const Tensor &weight, int cin, int h,
+                   int w, int k, int pad)
+{
+    const int n = dy.size(0), cout = dy.size(1);
+    const int oh = dy.size(2), ow = dy.size(3);
+    const int krows = cout * k * k;
+    const std::int64_t hw = static_cast<std::int64_t>(h) * w;
+    // rot[ci][co][ky][kx] = W[co][ci][k-1-ky][k-1-kx]
+    std::vector<float> rot(static_cast<std::size_t>(cin) * krows);
+    for (int ci = 0; ci < cin; ++ci)
+        for (int co = 0; co < cout; ++co)
+            for (int ky = 0; ky < k; ++ky)
+                for (int kx = 0; kx < k; ++kx)
+                    rot[((static_cast<std::size_t>(ci) * cout + co) * k + ky)
+                            * k
+                        + kx] = weight.at(co, ci, k - 1 - ky, k - 1 - kx);
+    std::vector<float> dx(static_cast<std::size_t>(n) * cin * hw);
+    std::vector<float> cols(static_cast<std::size_t>(krows) * hw);
+    for (int i = 0; i < n; ++i) {
+        im2colRaw(dy.data() + static_cast<std::size_t>(i) * cout * oh * ow,
+                  cout, oh, ow, k, k, 1, k - 1 - pad, cols.data());
+        gemmReference(cin, hw, krows, rot.data(), krows, false, cols.data(),
+                      hw, false, dx.data() + static_cast<std::size_t>(i) * cin
+                                                 * hw,
+                      hw, false);
+    }
+    return dx;
+}
+
+/** The GEMM + col2im dX chain: col2im of W^T * dY per image. */
+std::vector<float>
+gemmDxReference(const Tensor &dy, const Tensor &weight, int cin, int h,
+                int w, int k, int stride, int pad)
+{
+    const int n = dy.size(0), cout = dy.size(1);
+    const std::int64_t ohow =
+        static_cast<std::int64_t>(dy.size(2)) * dy.size(3);
+    const int kdim = cin * k * k;
+    const std::size_t in_sz = static_cast<std::size_t>(cin) * h * w;
+    std::vector<float> dx(static_cast<std::size_t>(n) * in_sz, 0.0f);
+    std::vector<float> dcols(static_cast<std::size_t>(kdim) * ohow);
+    for (int i = 0; i < n; ++i) {
+        gemmReference(kdim, ohow, cout, weight.data(), kdim, true,
+                      dy.data() + static_cast<std::size_t>(i) * cout * ohow,
+                      ohow, false, dcols.data(), ohow, false);
+        col2imRaw(dcols.data(), cin, h, w, k, k, stride, pad,
+                  dx.data() + static_cast<std::size_t>(i) * in_sz);
+    }
+    return dx;
 }
 
 Dataset
@@ -231,20 +292,23 @@ TEST_F(TrainLoopTest, Conv2dBackwardMatchesReference)
         const Tensor dy = randomTensor({s.n, s.cout, oh, ow}, 29);
 
         // Naive reference: materialised im2col + gemmReference per
-        // image, explicit serial bias row-sum, ascending-image fold.
+        // image, explicit serial bias row-sum, ascending-image fold; dX
+        // through the chain of the conv's route.
         const int kdim = s.cin * s.k * s.k;
         const std::int64_t ohow = static_cast<std::int64_t>(oh) * ow;
         const std::size_t in_sz =
             static_cast<std::size_t>(s.cin) * s.h * s.w;
-        const Tensor wmat = conv.weight().value.reshape({s.cout, kdim});
         std::vector<float> want_dw(
             static_cast<std::size_t>(s.cout) * kdim, 0.0f);
         std::vector<float> want_db(static_cast<std::size_t>(s.cout), 0.0f);
-        std::vector<float> want_dx(static_cast<std::size_t>(s.n) * in_sz,
-                                   0.0f);
+        const std::vector<float> want_dx =
+            conv.adjointDx(s.w)
+                ? adjointDxReference(dy, conv.weight().value, s.cin, s.h,
+                                     s.w, s.k, s.pad)
+                : gemmDxReference(dy, conv.weight().value, s.cin, s.h, s.w,
+                                  s.k, s.stride, s.pad);
         std::vector<float> cols(static_cast<std::size_t>(kdim) * ohow);
         std::vector<float> dwi(static_cast<std::size_t>(s.cout) * kdim);
-        std::vector<float> dcols(cols.size());
         for (int i = 0; i < s.n; ++i) {
             const float *dyp =
                 dy.data() + static_cast<std::size_t>(i) * s.cout * ohow;
@@ -263,11 +327,6 @@ TEST_F(TrainLoopTest, Conv2dBackwardMatchesReference)
                         acc += dyp[co * ohow + p];
                     want_db[static_cast<std::size_t>(co)] += acc;
                 }
-            gemmReference(kdim, ohow, s.cout, wmat.data(), kdim, true,
-                          dyp, ohow, false, dcols.data(), ohow, false);
-            col2imRaw(dcols.data(), s.cin, s.h, s.w, s.k, s.k, s.stride,
-                      s.pad,
-                      want_dx.data() + static_cast<std::size_t>(i) * in_sz);
         }
 
         const Tensor dx = conv.backward(dy);
@@ -285,6 +344,160 @@ TEST_F(TrainLoopTest, Conv2dBackwardMatchesReference)
                           want_db[static_cast<std::size_t>(co)])
                     << "db[" << co << "]";
         }
+    }
+}
+
+/** A stride-1 conv shape the adjoint dX route takes. */
+struct AdjointShape
+{
+    int cin, cout, hw, k, pad;
+};
+
+/**
+ * Every stride-1 conv of the Proxy backbone and the default decoder at
+ * their train_proxy24 extents (3->16 @24 stem, 16->16 @24, 32->32 @12;
+ * decoder 3->3, 3->16 and 16->3 @24), plus edge geometries: 1x1, pad
+ * 0, k=5, a pad of k-1, and rows narrower than one vector.
+ */
+const AdjointShape kAdjointShapes[] = {
+    {3, 16, 24, 3, 1}, {16, 16, 24, 3, 1}, {32, 32, 12, 3, 1},
+    {3, 3, 24, 3, 1},  {3, 16, 24, 3, 1},  {16, 3, 24, 3, 1},
+    {8, 4, 7, 1, 0},   {5, 6, 9, 3, 0},    {4, 7, 11, 5, 2},
+    {2, 3, 5, 3, 2},
+};
+
+TEST_F(TrainLoopTest, Conv2dAdjointDxMatchesRotatedReference)
+{
+    // The adjoint route's stated contract: bit-identical to im2col of
+    // dY + gemmReference over the rotated weights at every thread
+    // count and under every kernel set this host runs.
+    for (const AdjointShape &s : kAdjointShapes) {
+        SCOPED_TRACE(::testing::Message()
+                     << s.cin << "->" << s.cout << " @" << s.hw << " k="
+                     << s.k << " pad=" << s.pad);
+        Rng rng(53);
+        Conv2d conv(s.cin, s.cout, s.k, 1, s.pad, false, rng);
+        ASSERT_TRUE(conv.adjointDx(s.hw));
+        const Tensor x = randomTensor({3, s.cin, s.hw, s.hw}, 59);
+        const int ohw = s.hw + 2 * s.pad - s.k + 1;
+        const Tensor dy = randomTensor({3, s.cout, ohw, ohw}, 61);
+        const std::vector<float> want = adjointDxReference(
+            dy, conv.weight().value, s.cin, s.hw, s.hw, s.k, s.pad);
+        for (const KernelSet *set : compiledKernelSets()) {
+            if (!hostSupportsKernelSet(*set))
+                continue;
+            ScopedKernelOverride isa(*set);
+            for (int threads : {1, 2, 4, 8}) {
+                SCOPED_TRACE(::testing::Message()
+                             << set->name << " threads=" << threads);
+                setThreadCount(threads);
+                conv.forward(x, Mode::Train);
+                const Tensor dx = conv.backward(dy);
+                ASSERT_EQ(dx.numel(), want.size());
+                ASSERT_EQ(0, std::memcmp(dx.data(), want.data(),
+                                         want.size() * sizeof(float)));
+            }
+        }
+    }
+}
+
+TEST_F(TrainLoopTest, Conv2dAdjointDxNearGemmCol2im)
+{
+    // The adjoint route only reorders each dX element's sum: it stays
+    // within a few ulps of the element's absolute-term sum of the
+    // GEMM + col2im chain it replaced.
+    setThreadCount(2);
+    for (const AdjointShape &s : kAdjointShapes) {
+        SCOPED_TRACE(::testing::Message()
+                     << s.cin << "->" << s.cout << " @" << s.hw << " k="
+                     << s.k << " pad=" << s.pad);
+        Rng rng(67);
+        Conv2d conv(s.cin, s.cout, s.k, 1, s.pad, false, rng);
+        const Tensor x = randomTensor({2, s.cin, s.hw, s.hw}, 71);
+        const int ohw = s.hw + 2 * s.pad - s.k + 1;
+        const Tensor dy = randomTensor({2, s.cout, ohw, ohw}, 73);
+        conv.forward(x, Mode::Train);
+        const Tensor dx = conv.backward(dy);
+        const Tensor &wt = conv.weight().value;
+        const std::vector<float> old = gemmDxReference(
+            dy, wt, s.cin, s.hw, s.hw, s.k, 1, s.pad);
+        Tensor abs_dy(dy.shape()), abs_w(wt.shape());
+        for (std::size_t i = 0; i < dy.numel(); ++i)
+            abs_dy[i] = std::fabs(dy[i]);
+        for (std::size_t i = 0; i < wt.numel(); ++i)
+            abs_w[i] = std::fabs(wt[i]);
+        const std::vector<float> mag = gemmDxReference(
+            abs_dy, abs_w, s.cin, s.hw, s.hw, s.k, 1, s.pad);
+        float worst = 0.0f;
+        for (std::size_t i = 0; i < old.size(); ++i) {
+            const float ulp = std::nextafter(mag[i], INFINITY) - mag[i];
+            worst = std::max(worst, std::fabs(dx[i] - old[i]) / ulp);
+        }
+        EXPECT_LE(worst, 4.0f) << "ulps of the absolute-term sum";
+    }
+}
+
+TEST_F(TrainLoopTest, Conv2dFrozenBackwardLeavesGradsAndKeepsDx)
+{
+    // Frozen weight and bias get no gradient, and dX is the same bits
+    // whether they are frozen or not, on both dX routes.
+    setThreadCount(4);
+    struct Shape
+    {
+        int cin, cout, hw, k, stride, pad;
+        bool adjoint;
+    };
+    const Shape shapes[] = {
+        {16, 16, 12, 3, 1, 1, true},
+        {16, 32, 12, 3, 2, 1, false},
+        {64, 64, 6, 3, 1, 1, false}, // stride 1 on GEMM + col2im
+    };
+    for (const Shape &s : shapes) {
+        SCOPED_TRACE(::testing::Message()
+                     << s.cin << "->" << s.cout << " @" << s.hw
+                     << " stride=" << s.stride);
+        Rng rng(79);
+        Conv2d conv(s.cin, s.cout, s.k, s.stride, s.pad, true, rng);
+        ASSERT_EQ(conv.adjointDx(s.hw), s.adjoint);
+        const Tensor x = randomTensor({4, s.cin, s.hw, s.hw}, 83);
+        const int ohw = (s.hw + 2 * s.pad - s.k) / s.stride + 1;
+        const Tensor dy = randomTensor({4, s.cout, ohw, ohw}, 89);
+        conv.forward(x, Mode::Train);
+        const Tensor live = conv.backward(dy);
+        const Tensor live_dw = conv.weight().grad;
+        const Tensor live_db = conv.bias().grad;
+
+        conv.freeze(true);
+        conv.weight().zeroGrad();
+        conv.bias().zeroGrad();
+        conv.forward(x, Mode::Train);
+        const Tensor frozen = conv.backward(dy);
+        ASSERT_EQ(0, std::memcmp(frozen.data(), live.data(),
+                                 live.numel() * sizeof(float)));
+        for (std::size_t i = 0; i < conv.weight().grad.numel(); ++i)
+            ASSERT_EQ(conv.weight().grad[i], 0.0f);
+        for (std::size_t i = 0; i < conv.bias().grad.numel(); ++i)
+            ASSERT_EQ(conv.bias().grad[i], 0.0f);
+
+        // A live bias under a frozen weight still gets its exact db.
+        conv.bias().frozen = false;
+        conv.forward(x, Mode::Train);
+        conv.backward(dy);
+        ASSERT_EQ(0, std::memcmp(conv.bias().grad.data(), live_db.data(),
+                                 live_db.numel() * sizeof(float)));
+        for (std::size_t i = 0; i < conv.weight().grad.numel(); ++i)
+            ASSERT_EQ(conv.weight().grad[i], 0.0f);
+
+        // And a live weight under a frozen bias its exact dW.
+        conv.freeze(false);
+        conv.bias().frozen = true;
+        conv.bias().zeroGrad();
+        conv.forward(x, Mode::Train);
+        conv.backward(dy);
+        ASSERT_EQ(0, std::memcmp(conv.weight().grad.data(), live_dw.data(),
+                                 live_dw.numel() * sizeof(float)));
+        for (std::size_t i = 0; i < conv.bias().grad.numel(); ++i)
+            ASSERT_EQ(conv.bias().grad[i], 0.0f);
     }
 }
 
