@@ -27,7 +27,10 @@
 #include "hw/sensor_chip.hh"
 #include "hw/weights.hh"
 #include "json_report.hh"
+#include "nn/activation.hh"
+#include "nn/batchnorm.hh"
 #include "nn/conv.hh"
+#include "nn/sequential.hh"
 #include "tensor/isa.hh"
 #include "tensor/kernels.hh"
 #include "tensor/ops.hh"
@@ -589,6 +592,92 @@ compareConvBackward(leca::bench::JsonReport &report)
     table.print(std::cout);
 }
 
+/** Mean wall time of @p fn over @p reps calls after one warm-up, each
+ *  preceded by an untimed @p setup (e.g. the Train forward a backward
+ *  needs). */
+template <typename Setup, typename Fn>
+double
+timeAfterSetup(int reps, const Setup &setup, const Fn &fn)
+{
+    double total_ms = 0.0;
+    for (int r = 0; r <= reps; ++r) {
+        setup();
+        const auto t0 = std::chrono::steady_clock::now();
+        fn();
+        const auto t1 = std::chrono::steady_clock::now();
+        if (r > 0)
+            total_ms +=
+                std::chrono::duration<double, std::milli>(t1 - t0).count();
+    }
+    return total_ms / reps;
+}
+
+/**
+ * The train step's elementwise and encoder-gradient passes at the
+ * train_proxy24 geometry (batch 32, 24×24): Train-mode BatchNorm2d→Relu
+ * as the folded pass Sequential runs, next to the two separate layers,
+ * and the encoder's lane-dense dW (convWeightGradBatch, 3→8 channels,
+ * k = stride = 2) at 24×24 and 48×48.
+ */
+void
+compareTrainPasses(leca::bench::JsonReport &report)
+{
+    const int reps = 10;
+    Table table({"pass", "folded ms", "separate ms"});
+    {
+        const Tensor x = randomTensor({32, 16, 24, 24}, 41);
+        const Tensor g = randomTensor({32, 16, 24, 24}, 42);
+        Sequential folded;
+        folded.emplace<BatchNorm2d>(16);
+        folded.emplace<Relu>();
+        BatchNorm2d bn(16);
+        Relu relu;
+        const double fwd = timeAfterSetup(reps, [] {}, [&] {
+            Tensor y = folded.forward(x, Mode::Train);
+            benchmark::DoNotOptimize(y.data());
+        });
+        const double bwd = timeAfterSetup(
+            reps, [&] { folded.forward(x, Mode::Train); },
+            [&] {
+                Tensor dx = folded.backward(g);
+                benchmark::DoNotOptimize(dx.data());
+            });
+        const double sep_fwd = timeAfterSetup(reps, [] {}, [&] {
+            Tensor y = relu.forward(bn.forward(x, Mode::Train), Mode::Train);
+            benchmark::DoNotOptimize(y.data());
+        });
+        const double sep_bwd = timeAfterSetup(
+            reps,
+            [&] { relu.forward(bn.forward(x, Mode::Train), Mode::Train); },
+            [&] {
+                Tensor dx = bn.backward(relu.backward(g));
+                benchmark::DoNotOptimize(dx.data());
+            });
+        table.addRow({"bn+relu train fwd 32x16x24", Table::num(fwd, 3),
+                      Table::num(sep_fwd, 3)});
+        table.addRow({"bn+relu train bwd 32x16x24", Table::num(bwd, 3),
+                      Table::num(sep_bwd, 3)});
+        report.add("bnrelu_train_fwd_32x16x24", fwd, 0.0);
+        report.add("bnrelu_train_bwd_32x16x24", bwd, 0.0);
+    }
+    for (const int hw : {24, 48}) {
+        const Tensor x = randomTensor({32, 3, hw, hw}, 43);
+        const Tensor dy = randomTensor({32, 8, hw / 2, hw / 2}, 44);
+        std::vector<float> dw(8 * 3 * 2 * 2, 0.0f);
+        const double ms = timeAfterSetup(reps, [] {}, [&] {
+            convWeightGradBatch(x.data(), 32, 3, hw, hw, 2, 2, 0, dy.data(),
+                                8, dw.data(), nullptr);
+            benchmark::DoNotOptimize(dw.data());
+        });
+        const std::string name = "encoder_dw_32x3x" + std::to_string(hw);
+        table.addRow({name, Table::num(ms, 3), "-"});
+        report.add(name, ms, 0.0);
+    }
+    printBanner(std::cout, "Train-step passes (batch 32, folded BN+ReLU vs "
+                           "separate layers; encoder dW)");
+    table.print(std::cout);
+}
+
 /**
  * End-to-end training-path throughput: full trainClassifier calls
  * (gather + augment + forward + backward + Adam + batch-norm refresh)
@@ -693,6 +782,7 @@ main(int argc, char **argv)
     compareQuantKernels(report);
     compareConvPaths(report);
     compareConvBackward(report);
+    compareTrainPasses(report);
     if (report.enabled()) {
         reportJson(report);
         reportTrainEpoch(report);

@@ -8,7 +8,6 @@
 #include "nn/init.hh"
 #include "tensor/kernels.hh"
 #include "tensor/ops.hh"
-#include "util/arena.hh"
 #include "util/check.hh"
 #include "util/numeric.hh"
 #include "util/parallel.hh"
@@ -139,7 +138,7 @@ LecaEncoder::forwardSoft(const Tensor &x, Mode mode)
 
     _inShape = x.shape();
 
-    Tensor pre({n, nch, oh, ow});
+    Tensor pre = Tensor::uninitialized({n, nch, oh, ow});
     // Quantized: the fp32 packed conv over the weight values carried by
     // the codes (preparePlainFp32's copy, else dequantized per call) —
     // a 12-MAC patch padded to a 32-lane int8 block would cost more.
@@ -150,19 +149,17 @@ LecaEncoder::forwardSoft(const Tensor &x, Mode mode)
     const Tensor &wsrc = per_call            ? dq
                          : _qweight.empty() ? _weight.value
                                             : _dqweight;
-    const Tensor wmat = wsrc.reshape({nch, c * k * k});
-    const Tensor no_bias;
-    // Every image packs straight into arena scratch (conv2dImageInto):
-    // no column matrix, no per-image allocation. Backward recomputes
-    // the im2col it needs from the cached input.
-    parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
-        for (int i = static_cast<int>(n0); i < n1; ++i)
-            conv2dImageInto(x, i, wmat, no_bias, k, k, k, 0, pre);
-    });
+    // One packed conv over the batch: the [nch, c, k, k] weights are
+    // the row-major [nch, c*k*k] matrix it takes, packed once per call;
+    // every image packs straight into arena scratch (no column matrix,
+    // no per-image allocation). Backward repacks the patches it needs
+    // from the cached input.
+    convForwardBatch(x.data(), n, c, h, w, k, k, k, 0, wsrc.data(), nch,
+                     nullptr, pre.data());
 
     const float s = std::max(_outScale.value[0], 0.05f);
     const int levels = _config.qbits.levels();
-    Tensor features(pre.shape());
+    Tensor features = Tensor::uninitialized(pre.shape());
     const float *pp = pre.data();
     float *fp = features.data();
     parallelFor(0, static_cast<std::int64_t>(pre.numel()), 4096,
@@ -187,13 +184,12 @@ LecaEncoder::backwardSoft(const Tensor &grad_out)
     const int h = _inShape[2], w = _inShape[3];
     const int k = _config.kernel;
     const int nch = _config.nch;
-    const int oh = h / k, ow = w / k;
 
     const float s = std::max(_outScale.value[0], 0.05f);
 
     // STE through the quantizer and scale division. The g_s summation
     // stays serial so the double accumulation order is fixed.
-    Tensor g_pre(grad_out.shape());
+    Tensor g_pre = Tensor::uninitialized(grad_out.shape());
     const float *go = grad_out.data();
     const float *sp = _softPre.data();
     float *gp = g_pre.data();
@@ -209,44 +205,8 @@ LecaEncoder::backwardSoft(const Tensor &grad_out)
     }
     _outScale.grad[0] += static_cast<float>(g_s);
 
-    const int kdim = c * k * k;
-    const std::int64_t ohow = static_cast<std::int64_t>(oh) * ow;
-    const std::size_t in_sz = static_cast<std::size_t>(c) * h * w;
-    Tensor dwmat({nch, kdim});
-    // Per-image dW partials in one arena slab owned by the calling
-    // thread's scope, folded serially in ascending image order: the
-    // same per-image matrices the serial loop added, in the same order,
-    // with zero heap allocation.
-    Arena::Scope scope;
-    float *partials = Arena::local().alloc(
-        static_cast<std::size_t>(n) * nch * kdim);
-    parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
-        for (int i = static_cast<int>(n0); i < n1; ++i) {
-            // dW_i = dY * cols^T, reading the contiguous [nch, OH*OW]
-            // slab of g_pre in place and recomputing this image's
-            // column matrix into arena scratch.
-            const float *dy =
-                g_pre.data() + static_cast<std::size_t>(i) * nch * ohow;
-            float *dw = partials + static_cast<std::size_t>(i) * nch * kdim;
-            Arena::Scope image_scope;
-            float *cols = Arena::local().alloc(
-                static_cast<std::size_t>(kdim) * ohow);
-            im2colRaw(_softInput.data()
-                          + static_cast<std::size_t>(i) * in_sz,
-                      c, h, w, k, k, k, 0, cols);
-            gemmBlocked(nch, kdim, ohow, dy, ohow, false, cols, ohow, true,
-                        dw, kdim, false);
-        }
-    });
-    float *dwp = dwmat.data();
-    for (int i = 0; i < n; ++i) {
-        const float *dw =
-            partials + static_cast<std::size_t>(i) * nch * kdim;
-        for (std::size_t e = 0;
-             e < static_cast<std::size_t>(nch) * kdim; ++e)
-            dwp[e] += dw[e];
-    }
-    _weight.grad += dwmat.reshape({nch, c, k, k});
+    convWeightGradBatch(_softInput.data(), n, c, h, w, k, k, 0, g_pre.data(),
+                        nch, _weight.grad.data(), nullptr);
 
     _softInput = Tensor();
     _softPre = Tensor();

@@ -1,7 +1,6 @@
 #include "sensor_chip.hh"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <vector>
 
@@ -64,57 +63,66 @@ LecaSensorChip::encodeFrame(const Tensor &rgb_scene, PeMode mode, Rng &rng,
     Rng *noise_rng = mode == PeMode::RealNoisy ? &rng : nullptr;
 
     const int pe_count = static_cast<int>(_pes.size());
-    for (int band = 0; band < of_h; ++band) {
-        for (int pass = 0; pass < passes; ++pass) {
-            const int kernel_base = pass * 4;
-            const int kernel_count = std::min(4, nch - kernel_base);
-            // Prefetch the band's four rows so the per-PE column sweep
-            // below has no shared readout state.
-            std::array<std::vector<double>, 4> band_voltages;
-            for (int r = 0; r < 4; ++r) {
-                band_voltages[static_cast<std::size_t>(r)] =
-                    _pixelArray.readRowVoltages(band * 4 + r);
-                _chipStats.pixelReads += raw_cols;
-            }
-            // One noise stream per PE, forked serially before the
-            // parallel region: the stream a PE consumes depends only on
-            // its column index, keeping noisy captures bit-identical
-            // for every thread count.
-            std::vector<Rng> pe_rngs;
-            if (noise_rng)
-                pe_rngs = Rng::split(
-                    *noise_rng, static_cast<std::size_t>(pe_count));
-            parallelFor(0, pe_count, 1,
-                        [&](std::int64_t p0, std::int64_t p1) {
-                for (int p = static_cast<int>(p0); p < p1; ++p) {
-                    Pe &pe = _pes[static_cast<std::size_t>(p)];
-                    Rng *pe_rng = noise_rng
-                                      ? &pe_rngs[static_cast<std::size_t>(p)]
-                                      : nullptr;
+    // Every band row's voltages, read once up front so the per-PE sweep
+    // below has no shared readout state. The modelled chip reads a
+    // band's four rows once per pass, and the stats count it so.
+    std::vector<std::vector<double>> voltages(
+        static_cast<std::size_t>(of_h) * 4);
+    for (int r = 0; r < of_h * 4; ++r)
+        voltages[static_cast<std::size_t>(r)] =
+            _pixelArray.readRowVoltages(r);
+    _chipStats.pixelReads +=
+        static_cast<std::int64_t>(of_h) * passes * 4 * raw_cols;
+    // One noise stream per (band, pass, PE), forked serially in that
+    // order before the parallel region: the stream a PE consumes
+    // depends only on its position, keeping noisy captures
+    // bit-identical for every thread count.
+    std::vector<Rng> pe_rngs;
+    if (noise_rng) {
+        pe_rngs.reserve(static_cast<std::size_t>(of_h) * passes * pe_count);
+        for (int unit = 0; unit < of_h * passes; ++unit)
+            for (Rng &stream : Rng::split(
+                     *noise_rng, static_cast<std::size_t>(pe_count)))
+                pe_rngs.push_back(std::move(stream));
+    }
+    // One parallel region per frame: each PE sweeps its own columns
+    // through every band and pass, in the serial (band, pass) order.
+    parallelFor(0, pe_count, 1, [&](std::int64_t p0, std::int64_t p1) {
+        for (int p = static_cast<int>(p0); p < p1; ++p) {
+            Pe &pe = _pes[static_cast<std::size_t>(p)];
+            for (int band = 0; band < of_h; ++band) {
+                for (int pass = 0; pass < passes; ++pass) {
+                    const int kernel_base = pass * 4;
+                    const int kernel_count = std::min(4, nch - kernel_base);
+                    Rng *pe_rng =
+                        noise_rng ? &pe_rngs[(static_cast<std::size_t>(band)
+                                                  * passes
+                                              + pass)
+                                                 * pe_count
+                                             + p]
+                                  : nullptr;
                     pe.startBlock();
                     for (int r = 0; r < 4; ++r) {
-                        const auto &voltages =
-                            band_voltages[static_cast<std::size_t>(r)];
+                        const auto &row = voltages[static_cast<std::size_t>(
+                            band * 4 + r)];
                         pe.loadWeights(_kernels, kernel_base, kernel_count,
                                        r);
-                        pe.loadRow(
-                            {voltages[static_cast<std::size_t>(4 * p)],
-                             voltages[static_cast<std::size_t>(4 * p + 1)],
-                             voltages[static_cast<std::size_t>(4 * p + 2)],
-                             voltages[static_cast<std::size_t>(4 * p + 3)]});
+                        pe.loadRow({row[static_cast<std::size_t>(4 * p)],
+                                    row[static_cast<std::size_t>(4 * p + 1)],
+                                    row[static_cast<std::size_t>(4 * p + 2)],
+                                    row[static_cast<std::size_t>(4 * p + 3)]});
                         pe.processRow(kernel_count, mode, pe_rng);
                     }
                     const auto codes =
                         pe.readOfmap(kernel_count, mode, pe_rng);
-                    for (int k = 0; k < kernel_count; ++k) {
+                    for (int k = 0; k < kernel_count; ++k)
                         ofmap.at(kernel_base + k, band, p) =
                             static_cast<float>(
                                 codes[static_cast<std::size_t>(k)]);
-                    }
                 }
-            });
+            }
         }
-    }
+    });
 
     // Quantized ofmap goes through the global SRAM and off-chip.
     const double bits = _config.qbits.bits();

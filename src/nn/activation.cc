@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 
 #include "util/check.hh"
 #include "util/parallel.hh"
@@ -13,23 +12,32 @@ namespace {
 
 constexpr std::int64_t kGrain = 4096; //!< elements per parallel chunk
 
+/** dst[i] = maskedGrad(grad[i], mask[i]) over [i0, i1). */
+void
+maskedGradRange(const float *grad, const unsigned char *mask, float *dst,
+                std::int64_t i0, std::int64_t i1)
+{
+    for (std::int64_t i = i0; i < i1; ++i)
+        dst[i] = maskedGrad(grad[i], mask[i]);
+}
+
 /**
- * dst[i] = mask[i] ? grad[i] : 0.0f over [i0, i1), branchlessly: the
- * 0/1 mask byte expands to an all-ones/all-zero lane ANDed with the
- * gradient bits, so the result is bit-identical to the ternary (the
- * gradient's bits pass through untouched, the masked case is +0.0f)
- * without a data-dependent branch — masks are ~50% random mid-training,
- * so the branchy form mispredicts on every other element.
+ * y[i] = relu(x[i] + addend[i]) over [i0, i1) (just x[i] when @p addend
+ * is null), with mask[i] = 1 where that sum is > 0 when @p mask is
+ * non-null. The pointers are parameters, not lambda captures: a byte
+ * store may alias a captured pointer, which forces a reload per element
+ * and keeps the loop scalar.
  */
 void
-maskedGrad(const float *grad, const unsigned char *mask, float *dst,
-           std::int64_t i0, std::int64_t i1)
+reluRange(const float *x, const float *addend, float *y, unsigned char *mask,
+          std::int64_t i0, std::int64_t i1)
 {
     for (std::int64_t i = i0; i < i1; ++i) {
-        std::uint32_t bits;
-        std::memcpy(&bits, grad + i, sizeof bits);
-        bits &= 0u - static_cast<std::uint32_t>(mask[i]);
-        std::memcpy(dst + i, &bits, sizeof bits);
+        const float v = addend != nullptr ? x[i] + addend[i] : x[i];
+        const bool pos = v > 0.0f;
+        y[i] = pos ? v : 0.0f;
+        if (mask != nullptr)
+            mask[i] = pos;
     }
 }
 
@@ -38,47 +46,62 @@ maskedGrad(const float *grad, const unsigned char *mask, float *dst,
 Tensor
 Relu::forward(const Tensor &x, Mode mode)
 {
-    Tensor y(x.shape());
+    Tensor y = Tensor::uninitialized(x.shape());
     const float *xp = x.data();
     float *yp = y.data();
-    const std::int64_t numel = static_cast<std::int64_t>(x.numel());
-    if (mode == Mode::Train) {
-        _mask.assign(x.numel(), 0);
-        _shape = x.shape();
-        unsigned char *mp = _mask.data();
-        parallelFor(0, numel, kGrain,
-                    [&](std::int64_t i0, std::int64_t i1) {
-                        for (std::int64_t i = i0; i < i1; ++i) {
-                            const bool pos = xp[i] > 0.0f;
-                            yp[i] = pos ? xp[i] : 0.0f;
-                            mp[i] = pos;
-                        }
-                    });
-    } else {
-        parallelFor(0, numel, kGrain,
-                    [&](std::int64_t i0, std::int64_t i1) {
-                        for (std::int64_t i = i0; i < i1; ++i)
-                            yp[i] = xp[i] > 0.0f ? xp[i] : 0.0f;
-                    });
-    }
+    unsigned char *mp =
+        mode == Mode::Train ? recordMask(x.numel()) : nullptr;
+    parallelFor(0, static_cast<std::int64_t>(x.numel()), kGrain,
+                [&](std::int64_t i0, std::int64_t i1) {
+                    reluRange(xp, nullptr, yp, mp, i0, i1);
+                });
     return y;
+}
+
+void
+Relu::forwardAdd(Tensor &sum, const Tensor &addend, Mode mode)
+{
+    LECA_CHECK_SAME_SHAPE(sum, addend);
+    const float *ap = addend.data();
+    float *sp = sum.data();
+    unsigned char *mp =
+        mode == Mode::Train ? recordMask(sum.numel()) : nullptr;
+    parallelFor(0, static_cast<std::int64_t>(sum.numel()), kGrain,
+                [&](std::int64_t i0, std::int64_t i1) {
+                    reluRange(sp, ap, sp, mp, i0, i1);
+                });
+}
+
+unsigned char *
+Relu::recordMask(std::size_t numel)
+{
+    if (_mask.size() < numel)
+        _mask.resize(numel);
+    _live = numel;
+    return _mask.data();
+}
+
+const unsigned char *
+Relu::takeMask(std::size_t numel)
+{
+    LECA_CHECK(_live == numel,
+               "Relu backward without matching forward: cached ", _live,
+               ", got ", numel);
+    _live = 0;
+    return _mask.data();
 }
 
 Tensor
 Relu::backward(const Tensor &grad_out)
 {
-    LECA_CHECK(_mask.size() == grad_out.numel(),
-               "Relu backward without matching forward: cached ",
-               _mask.size(), ", got ", grad_out.numel());
-    Tensor dx(grad_out.shape());
+    const unsigned char *mp = takeMask(grad_out.numel());
+    Tensor dx = Tensor::uninitialized(grad_out.shape());
     const float *gp = grad_out.data();
-    const unsigned char *mp = _mask.data();
     float *dp = dx.data();
     parallelFor(0, static_cast<std::int64_t>(grad_out.numel()), kGrain,
                 [&](std::int64_t i0, std::int64_t i1) {
-                    maskedGrad(gp, mp, dp, i0, i1);
+                    maskedGradRange(gp, mp, dp, i0, i1);
                 });
-    _mask.clear();
     return dx;
 }
 
@@ -122,7 +145,7 @@ HardClamp::backward(const Tensor &grad_out)
     float *dp = dx.data();
     parallelFor(0, static_cast<std::int64_t>(grad_out.numel()), kGrain,
                 [&](std::int64_t i0, std::int64_t i1) {
-                    maskedGrad(gp, mp, dp, i0, i1);
+                    maskedGradRange(gp, mp, dp, i0, i1);
                 });
     _inside.clear();
     return dx;

@@ -12,9 +12,15 @@
 
 namespace leca {
 
+class Relu;
+
 /**
  * BatchNorm2d with learnable affine (gamma, beta) and running statistics
- * for evaluation mode.
+ * for evaluation mode. In Train mode each channel's two double sums run
+ * serially in (image, pixel) order — the chains of up to 8 channels are
+ * interleaved in one loop, which hides the add latency without
+ * reordering any chain — so the statistics are bit-identical at every
+ * thread count.
  */
 class BatchNorm2d : public Layer
 {
@@ -24,6 +30,21 @@ class BatchNorm2d : public Layer
 
     Tensor forward(const Tensor &x, Mode mode) override;
     Tensor backward(const Tensor &grad_out) override;
+
+    /**
+     * Train forward with the following @p relu folded in (Sequential
+     * does this for every BatchNorm2d→Relu pair in Train mode): one
+     * pass writes x̂ and the rectified output and records relu's mask.
+     * Bitwise forward(x, Train) followed by relu.forward(·, Train).
+     */
+    Tensor forwardRelu(const Tensor &x, Relu &relu);
+
+    /**
+     * Backward of forwardRelu: relu's mask is applied inside the sums
+     * and the dx pass. Bitwise relu.backward() followed by backward().
+     */
+    Tensor backwardRelu(const Tensor &grad_out, Relu &relu);
+
     std::vector<Param *> params() override { return {&_gamma, &_beta}; }
     std::vector<Tensor *> state() override
     {
@@ -48,6 +69,9 @@ class BatchNorm2d : public Layer
     int channels() const { return _channels; }
 
   private:
+    Tensor forwardTrain(const Tensor &x, unsigned char *mask);
+    Tensor backwardMasked(const Tensor &grad_out, const unsigned char *mask);
+
     int _channels;
     float _momentum;
     float _eps;

@@ -1,13 +1,9 @@
 #include "conv.hh"
 
-#include <algorithm>
-
 #include "nn/init.hh"
 #include "tensor/kernels.hh"
 #include "tensor/ops.hh"
-#include "util/arena.hh"
 #include "util/check.hh"
-#include "util/parallel.hh"
 
 namespace leca {
 
@@ -34,7 +30,7 @@ Conv2d::forward(const Tensor &x, Mode mode)
     const int oh = convOutSize(h, _k, _stride, _pad);
     const int ow = convOutSize(w, _k, _stride, _pad);
 
-    Tensor y({n, _cout, oh, ow});
+    Tensor y = Tensor::uninitialized({n, _cout, oh, ow});
     // A quantized conv evaluates its quantized weight VALUES through the
     // fp32 packed conv: planned Plain-fp32 (preparePlainFp32) over the
     // cached copy, unplanned over a copy dequantized from the codes per
@@ -57,8 +53,12 @@ Conv2d::forward(const Tensor &x, Mode mode)
     convForwardBatch(x.data(), n, _cin, h, w, _k, _k, _stride, _pad,
                      wsrc.data(), _cout,
                      _hasBias ? _bias.value.data() : nullptr, y.data());
-    if (mode == Mode::Train)
-        _input = x;
+    if (mode == Mode::Train) {
+        // dX needs only the input's dims; the input itself feeds dW/db,
+        // so a conv with no trainable parameter keeps no copy of it.
+        _inDims = {n, h, w};
+        _input = trainsParams() ? x : Tensor();
+    }
     return y;
 }
 
@@ -71,8 +71,9 @@ Conv2d::forwardFused(const Tensor &x, const ConvEpilogue &epi)
                _cout, ", k=", _k, ") fused input shape ",
                detail::formatShape(x.shape()));
     const int n = x.size(0), h = x.size(2), w = x.size(3);
-    Tensor y({n, _cout, convOutSize(h, _k, _stride, _pad),
-              convOutSize(w, _k, _stride, _pad)});
+    Tensor y = Tensor::uninitialized(
+        {n, _cout, convOutSize(h, _k, _stride, _pad),
+         convOutSize(w, _k, _stride, _pad)});
     convForwardBatch(x.data(), n, _cin, h, w, _k, _k, _stride, _pad,
                      _dqweight.data(), _cout, nullptr, y.data(), epi);
     return y;
@@ -81,157 +82,34 @@ Conv2d::forwardFused(const Tensor &x, const ConvEpilogue &epi)
 bool
 Conv2d::adjointDx(int w) const
 {
-    return _stride == 1 && _pad < _k && convUsesDirect(_cout, _cin, 1, w);
+    return convDxUsesAdjoint(_cin, _cout, _k, _stride, _pad, w);
 }
-
-namespace {
-
-/**
- * dX of a stride-1 conv as one forward conv over dY (the adjoint
- * route, DESIGN.md §9): dx = conv(dy, R) with pad k-1-pad, where
- * R[ci][co][ky][kx] = W[co][ci][k-1-ky][k-1-kx] — the weights rotated
- * 180° and channel-transposed, built in arena scratch. Each dX element
- * is one ascending (co, ky, kx) chain of the direct conv.
- */
-void
-adjointConvDx(const Tensor &grad_out, const Tensor &weight, int cin, int k,
-              int pad, Tensor &dx)
-{
-    const int n = grad_out.size(0), cout = grad_out.size(1);
-    const int kk = k * k;
-    Arena::Scope scope;
-    float *rot = Arena::local().alloc(static_cast<std::size_t>(cin) * cout
-                                      * kk);
-    const float *wp = weight.data();
-    for (int co = 0; co < cout; ++co)
-        for (int ci = 0; ci < cin; ++ci) {
-            const float *src = wp + (static_cast<std::size_t>(co) * cin + ci)
-                                        * kk;
-            float *dst = rot + (static_cast<std::size_t>(ci) * cout + co) * kk;
-            for (int t = 0; t < kk; ++t)
-                dst[kk - 1 - t] = src[t];
-        }
-    convForwardBatch(grad_out.data(), n, cout, grad_out.size(2),
-                     grad_out.size(3), k, k, 1, k - 1 - pad, rot, cin,
-                     nullptr, dx.data());
-}
-
-} // namespace
 
 Tensor
 Conv2d::backward(const Tensor &grad_out)
 {
-    LECA_CHECK(_input.numel() > 0, "Conv2d backward without cached forward");
-    const int n = _input.size(0), h = _input.size(2), w = _input.size(3);
-    const int oh = grad_out.size(2), ow = grad_out.size(3);
-    LECA_CHECK(grad_out.size(0) == n && grad_out.size(1) == _cout,
+    const auto [n, h, w] = _inDims;
+    LECA_CHECK(n > 0, "Conv2d backward without cached forward");
+    LECA_CHECK(!trainsParams() || _input.numel() > 0,
+               "Conv2d parameters unfrozen between forward and backward");
+    LECA_CHECK(grad_out.dim() == 4 && grad_out.size(0) == n
+                   && grad_out.size(1) == _cout
+                   && grad_out.size(2) == convOutSize(h, _k, _stride, _pad)
+                   && grad_out.size(3) == convOutSize(w, _k, _stride, _pad),
                "Conv2d grad shape ", detail::formatShape(grad_out.shape()),
-               " vs batch ", n, " x ", _cout, " channels");
+               " vs input ", n, " x ", _cin, " x ", h, " x ", w);
 
-    // Frozen parameters get no gradient: their im2col, dW GEMM and
-    // partials fold are skipped, and their grads stay as they are.
-    const bool dw_live = !_weight.frozen;
-    const bool db_live = _hasBias && !_bias.frozen;
-    const bool adjoint = adjointDx(w);
-    Tensor dx({n, _cin, h, w});
-    if (adjoint)
-        adjointConvDx(grad_out, _weight.value, _cin, _k, _pad, dx);
-    if (adjoint && !dw_live && !db_live) {
-        _input = Tensor();
-        return dx;
-    }
-
-    const int kdim = _cin * _k * _k;
-    // When a bias is learned, the column matrix gets one extra all-ones
-    // row: the dW GEMM then emits db as its trailing output column in
-    // the same dY traversal (x * 1.0f == x, and each output element
-    // accumulates its k contributions in one ascending chain, so the
-    // fused column is bit-identical to the explicit row-sum loop).
-    const int grows = dw_live || db_live ? kdim + (db_live ? 1 : 0) : 0;
-    const std::int64_t ohow = static_cast<std::int64_t>(oh) * ow;
-    const std::size_t in_sz = static_cast<std::size_t>(_cin) * h * w;
-    const float *wmat = _weight.value.data();
-
-    // Per-image gradient partials live in one arena slab owned by the
-    // calling thread's scope; workers only open nested scopes above it.
-    // The slab is folded serially in ascending image order below, so
-    // the float summation order matches the serial loop bit for bit,
-    // and nothing in this pass touches the heap.
-    Arena::Scope scope;
-    float *partials = Arena::local().alloc(
-        static_cast<std::size_t>(n) * _cout * grows);
-    parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
-        for (int i = static_cast<int>(n0); i < n1; ++i) {
-            const float *dy =
-                grad_out.data() + static_cast<std::size_t>(i) * _cout * ohow;
-            float *dw = partials
-                        + static_cast<std::size_t>(i) * _cout * grows;
-            Arena::Scope image_scope;
-            if (grows > 0) {
-                // Recompute this image's column matrix into arena
-                // scratch.
-                float *cols = Arena::local().alloc(
-                    static_cast<std::size_t>(grows) * ohow);
-                im2colRaw(_input.data()
-                              + static_cast<std::size_t>(i) * in_sz,
-                          _cin, h, w, _k, _k, _stride, _pad, cols);
-                if (db_live) {
-                    float *ones = cols + static_cast<std::size_t>(kdim)
-                                             * ohow;
-                    for (std::int64_t p = 0; p < ohow; ++p)
-                        ones[p] = 1.0f;
-                }
-                // dW_i^T (with db_i fused as the last row) = cols * dY^T.
-                // Same operand pairs and the same ascending-p fma chain
-                // per element as dY * cols^T — bit-identical — but this
-                // orientation packs the big column matrix along its
-                // storage rows instead of transposing it, and only the
-                // small dY block goes through the transpose pack.
-                gemmBlocked(grows, _cout, ohow, cols, ohow, false, dy, ohow,
-                            true, dw, _cout, false);
-            }
-            if (adjoint)
-                continue;
-            // dX = col2im(W^T * dY); images write disjoint slabs, and
-            // col2imRaw accumulates straight into the zero-initialised
-            // dx slab.
-            float *dcols = Arena::local().alloc(
-                static_cast<std::size_t>(kdim) * ohow);
-            gemmBlocked(kdim, ohow, _cout, wmat, kdim, true, dy, ohow, false,
-                        dcols, ohow, false);
-            col2imRaw(dcols, _cin, h, w, _k, _k, _stride, _pad,
-                      dx.data() + static_cast<std::size_t>(i) * in_sz);
-        }
-    });
-    if (grows > 0) {
-        // Each image's partial is stored transposed ([grows, cout]); the
-        // fold still adds one value per (co, q) element per image in
-        // ascending image order, so the summation chains are unchanged.
-        // dW is summed over the batch before it joins the accumulator.
-        const std::size_t wsz = static_cast<std::size_t>(_cout) * kdim;
-        float *dwsum = dw_live ? Arena::local().alloc(wsz) : nullptr;
-        if (dw_live)
-            std::fill(dwsum, dwsum + wsz, 0.0f);
-        for (int i = 0; i < n; ++i) {
-            const float *dw =
-                partials + static_cast<std::size_t>(i) * _cout * grows;
-            for (int co = 0; co < _cout; ++co) {
-                if (dw_live) {
-                    float *acc = dwsum + static_cast<std::size_t>(co) * kdim;
-                    for (int q = 0; q < kdim; ++q)
-                        acc[q] += dw[static_cast<std::size_t>(q) * _cout + co];
-                }
-                if (db_live)
-                    _bias.grad[static_cast<std::size_t>(co)] +=
-                        dw[static_cast<std::size_t>(kdim) * _cout + co];
-            }
-        }
-        if (dw_live) {
-            float *g = _weight.grad.data();
-            for (std::size_t e = 0; e < wsz; ++e)
-                g[e] += dwsum[e];
-        }
-    }
+    Tensor dx = Tensor::uninitialized({n, _cin, h, w});
+    convBackwardDataBatch(grad_out.data(), n, _cout, _weight.value.data(),
+                          _cin, h, w, _k, _stride, _pad, dx.data());
+    // Frozen parameters get no gradient: their dW/db GEMMs are
+    // skipped, and their grads stay as they are.
+    convWeightGradBatch(_input.data(), n, _cin, h, w, _k, _stride, _pad,
+                        grad_out.data(), _cout,
+                        _weight.frozen ? nullptr : _weight.grad.data(),
+                        _hasBias && !_bias.frozen ? _bias.grad.data()
+                                                  : nullptr);
+    _inDims = {};
     _input = Tensor();
     return dx;
 }

@@ -1,11 +1,12 @@
 /**
  * @file
- * 2-D convolution layer with hand-derived backward pass (im2col based).
+ * 2-D convolution layer with hand-derived backward pass.
  */
 
 #ifndef LECA_NN_CONV_HH
 #define LECA_NN_CONV_HH
 
+#include <array>
 #include <vector>
 
 #include "nn/layer.hh"
@@ -20,13 +21,16 @@ namespace leca {
  *
  * Forward runs convForwardBatch — the direct conv for the shapes
  * convUsesDirect takes, else each image's im2col packed straight into
- * arena scratch (no column matrix is ever materialised). Backward
- * (DESIGN.md §9):
- *  - dW = dY * cols^T over the recomputed im2col per image, with db
- *    fused as the trailing GEMM column — skipped entirely when the
- *    weight and bias are frozen, whose grads then stay untouched;
+ * arena scratch (no column matrix is ever materialised), with the
+ * weights packed once per call. Backward (DESIGN.md §9):
+ *  - [dW | db] per image as one GEMM with dY as the A operand and the
+ *    image's patches packed into lane-dense B panels, bias as a ones
+ *    column (convWeightGradBatch) — skipped entirely when the weight
+ *    and bias are frozen, whose grads then stay untouched (and whose
+ *    Train forward then caches only the input's dims, not a copy);
  *  - dX as one direct conv over dY with the rotated, channel-transposed
- *    weights when adjointDx() holds, else col2im of W^T * dY.
+ *    weights when adjointDx() holds, else col2im of W^T * dY with W^T
+ *    packed once per call (convBackwardDataBatch).
  * All scratch and gradient partials live in the thread-local Arena.
  */
 class Conv2d : public Layer
@@ -119,8 +123,16 @@ class Conv2d : public Layer
     QuantTensor _qweightHwc; //!< resident layout; see prepareResident
     Tensor _dqweight; //!< fp32 execution copy; see preparePlainFp32
 
-    // Forward cache: the input itself (K*K smaller than the column
-    // matrices the backward pass recomputes from it).
+    /** Whether backward computes a gradient (dW or db) at all. */
+    bool trainsParams() const
+    {
+        return !_weight.frozen || (_hasBias && !_bias.frozen);
+    }
+
+    // Forward cache: the input's (n, h, w), n = 0 when none is cached,
+    // and the input itself when trainsParams() (K*K smaller than the
+    // column matrices the backward pass recomputes from it).
+    std::array<int, 3> _inDims{};
     Tensor _input;
 };
 

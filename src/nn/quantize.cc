@@ -24,6 +24,8 @@ quantizeCode(float x, float lo, float hi, int levels)
 {
     LECA_DCHECK(levels >= 2 && hi > lo, "bad quantizer configuration: levels=",
                 levels, " range [", lo, ", ", hi, ")");
+    if (std::isnan(x))
+        return 0;
     const float clamped = std::clamp(x, lo, hi);
     const float t = (clamped - lo) / (hi - lo);
     const int code = roundToInt(t * static_cast<float>(levels - 1));

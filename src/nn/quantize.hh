@@ -42,7 +42,12 @@ class QBits
     double _bits;
 };
 
-/** Nearest-level code for @p x clamped into [lo, hi], in [0, levels). */
+/**
+ * Nearest-level code for @p x clamped into [lo, hi], in [0, levels).
+ * ±Inf clamp to the end codes; NaN (a dead or corrupt pixel) maps to
+ * code 0, the value lo, so one bad frame yields grid values instead of
+ * an exception.
+ */
 int quantizeCode(float x, float lo, float hi, int levels);
 
 /** Dequantized value of @p code on the same uniform grid. */

@@ -69,23 +69,55 @@ Sequential::add(LayerPtr layer)
     return *this;
 }
 
+BatchNorm2d *
+Sequential::bnBeforeRelu(std::size_t i) const
+{
+    if (i + 1 >= _layers.size()
+        || dynamic_cast<Relu *>(_layers[i + 1].get()) == nullptr)
+        return nullptr;
+    return dynamic_cast<BatchNorm2d *>(_layers[i].get());
+}
+
 Tensor
 Sequential::forward(const Tensor &x, Mode mode)
 {
     if (mode == Mode::Eval && !_plan.empty() && x.dim() == 4)
         return forwardPlanned(x);
-    Tensor cur = x;
-    for (auto &layer : _layers)
-        cur = layer->forward(cur, mode);
+    if (_layers.empty())
+        return x;
+    // The first child reads x itself; each later one its predecessor's
+    // output.
+    Tensor cur;
+    const Tensor *in = &x;
+    for (std::size_t i = 0; i < _layers.size(); ++i) {
+        BatchNorm2d *bn = mode == Mode::Train ? bnBeforeRelu(i) : nullptr;
+        if (bn != nullptr)
+            cur = bn->forwardRelu(*in,
+                                  static_cast<Relu &>(*_layers[++i]));
+        else
+            cur = _layers[i]->forward(*in, mode);
+        in = &cur;
+    }
     return cur;
 }
 
 Tensor
 Sequential::backward(const Tensor &grad_out)
 {
-    Tensor cur = grad_out;
-    for (auto it = _layers.rbegin(); it != _layers.rend(); ++it)
-        cur = (*it)->backward(cur);
+    if (_layers.empty())
+        return grad_out;
+    Tensor cur;
+    const Tensor *g = &grad_out;
+    for (std::size_t i = _layers.size(); i-- > 0;) {
+        // A BatchNorm2d→Relu pair only runs backward after a Train
+        // forward, which folded it.
+        BatchNorm2d *bn = i > 0 ? bnBeforeRelu(i - 1) : nullptr;
+        if (bn != nullptr)
+            cur = bn->backwardRelu(*g, static_cast<Relu &>(*_layers[i--]));
+        else
+            cur = _layers[i]->backward(*g);
+        g = &cur;
+    }
     return cur;
 }
 
@@ -300,7 +332,13 @@ Sequential::forwardPlanned(const Tensor &x)
 {
     Arena::Scope scope;
     Arena &arena = Arena::local();
-    Tensor cur = x;
+    // The current fp32 activation: x itself until a step replaces it.
+    Tensor cur;
+    const Tensor *in = &x;
+    const auto setCur = [&](Tensor t) {
+        cur = std::move(t);
+        in = &cur;
+    };
     QuantActivation qa;
     bool resident = false;
 
@@ -344,15 +382,15 @@ Sequential::forwardPlanned(const Tensor &x)
                 Tensor t({qa.n, qa.c, qa.h, qa.w});
                 // leca-lint: precision-boundary
                 dequantizeActivationNchw(qa, t.data());
-                cur = std::move(t);
+                setCur(std::move(t));
                 resident = false;
             }
-            cur = st.layer->forward(cur, Mode::Eval);
+            setCur(st.layer->forward(*in, Mode::Eval));
             break;
           }
           case QuantStep::Kind::ConvResident: {
             const QuantActivation src =
-                resident ? qa : toResident(cur, ResidentEpilogue{});
+                resident ? qa : toResident(*in, ResidentEpilogue{});
             Conv2d &conv = *st.conv;
             const int k = conv.kernel(), s = conv.stride(), p = conv.pad();
             const int oh = (src.h + 2 * p - k) / s + 1;
@@ -371,7 +409,7 @@ Sequential::forwardPlanned(const Tensor &x)
                 Tensor out({src.n, cout, oh, ow});
                 convForwardResident(src, k, k, s, p, conv.qweightHwc(), epi,
                                     nullptr, nullptr, nullptr, out.data());
-                cur = std::move(out);
+                setCur(std::move(out));
                 resident = false;
             }
             break;
@@ -380,33 +418,33 @@ Sequential::forwardPlanned(const Tensor &x)
             LECA_CHECK(!resident, "ConvFp32 must be fed by an fp32 producer");
             float *ea = nullptr, *eb = nullptr;
             foldConvAffine(*st.conv, st.bn, arena, ea, eb);
-            cur = st.conv->forwardFused(cur, ConvEpilogue{ea, eb, st.relu});
+            setCur(st.conv->forwardFused(*in, ConvEpilogue{ea, eb, st.relu}));
             break;
           }
           case QuantStep::Kind::FusedEntry: {
             LECA_CHECK(!resident,
                        "FusedEntry must be fed by an fp32 producer");
-            LECA_CHECK(cur.dim() == 4
+            LECA_CHECK(in->dim() == 4
                            && (st.bn == nullptr
-                               || cur.size(1) == st.bn->channels()),
+                               || in->size(1) == st.bn->channels()),
                        "FusedEntry input does not match the folded BN");
             float *ea = nullptr, *eb = nullptr;
             if (st.bn != nullptr) {
                 // Like the conv epilogue: recomputed from the live BN
                 // buffers each forward, so load() never serves stale
                 // statistics.
-                const int c = cur.size(1);
+                const int c = in->size(1);
                 ea = arena.alloc(static_cast<std::size_t>(c));
                 eb = arena.alloc(static_cast<std::size_t>(c));
                 st.bn->evalAffineInto(ea, eb);
             }
-            qa = toResident(cur, ResidentEpilogue{ea, eb, st.relu});
+            qa = toResident(*in, ResidentEpilogue{ea, eb, st.relu});
             resident = true;
             break;
           }
           case QuantStep::Kind::Residual: {
             const QuantActivation src =
-                resident ? qa : toResident(cur, ResidentEpilogue{});
+                resident ? qa : toResident(*in, ResidentEpilogue{});
             auto &block = static_cast<ResidualBlock &>(*st.layer);
             int oh = 0, ow = 0;
             block.outShape(src.h, src.w, oh, ow);
@@ -419,7 +457,7 @@ Sequential::forwardPlanned(const Tensor &x)
             } else {
                 Tensor out({src.n, cout, oh, ow});
                 block.forwardResident(src, nullptr, nullptr, out.data());
-                cur = std::move(out);
+                setCur(std::move(out));
                 resident = false;
             }
             break;
@@ -427,21 +465,21 @@ Sequential::forwardPlanned(const Tensor &x)
           case QuantStep::Kind::PoolMax: {
             Tensor out({qa.n, qa.c, qa.h / st.poolK, qa.w / st.poolK});
             maxPoolResident(qa, st.poolK, out.data());
-            cur = std::move(out);
+            setCur(std::move(out));
             resident = false;
             break;
           }
           case QuantStep::Kind::PoolAvg: {
             Tensor out({qa.n, qa.c, qa.h / st.poolK, qa.w / st.poolK});
             avgPoolResident(qa, st.poolK, out.data());
-            cur = std::move(out);
+            setCur(std::move(out));
             resident = false;
             break;
           }
           case QuantStep::Kind::Gap: {
             Tensor out({qa.n, qa.c});
             globalAvgPoolResident(qa, out.data());
-            cur = std::move(out);
+            setCur(std::move(out));
             resident = false;
             break;
           }
@@ -453,8 +491,10 @@ Sequential::forwardPlanned(const Tensor &x)
         Tensor t({qa.n, qa.c, qa.h, qa.w});
         // leca-lint: precision-boundary
         dequantizeActivationNchw(qa, t.data());
-        cur = std::move(t);
+        setCur(std::move(t));
     }
+    if (in == &x)
+        return x;
     return cur;
 }
 
@@ -483,7 +523,6 @@ ResidualBlock::ResidualBlock(int cin, int cout, int stride, Rng &rng)
                                            rng);
         _projBn = &_proj.emplace<BatchNorm2d>(cout);
     }
-    _finalRelu = std::make_unique<Relu>();
 }
 
 // leca-analyze: cold — resident eligibility + weight re-layout (plan time)
@@ -625,16 +664,19 @@ Tensor
 ResidualBlock::forward(const Tensor &x, Mode mode)
 {
     Tensor main = _main.forward(x, mode);
-    Tensor skip = _hasProj ? _proj.forward(x, mode) : x;
-    LECA_CHECK_SAME_SHAPE(main, skip);
-    main += skip;
-    return _finalRelu->forward(main, mode);
+    // The identity skip adds x itself; skip add and final ReLU are one
+    // in-place pass over main.
+    if (_hasProj)
+        _finalRelu.forwardAdd(main, _proj.forward(x, mode), mode);
+    else
+        _finalRelu.forwardAdd(main, x, mode);
+    return main;
 }
 
 Tensor
 ResidualBlock::backward(const Tensor &grad_out)
 {
-    const Tensor d_sum = _finalRelu->backward(grad_out);
+    const Tensor d_sum = _finalRelu.backward(grad_out);
     Tensor dx = _main.backward(d_sum);
     if (_hasProj) {
         dx += _proj.backward(d_sum);

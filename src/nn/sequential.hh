@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "nn/activation.hh"
 #include "nn/layer.hh"
 #include "util/rng.hh"
 
@@ -75,7 +76,13 @@ struct QuantStep
     int poolK = 0;             //!< PoolMax/PoolAvg kernel
 };
 
-/** Runs child layers in order; backward runs them in reverse. */
+/**
+ * Runs child layers in order; backward runs them in reverse. The input
+ * goes to the first child as is (no copy). In Train mode a BatchNorm2d
+ * followed by a Relu runs as one folded pass each way
+ * (BatchNorm2d::forwardRelu / backwardRelu), bitwise the separate
+ * layers.
+ */
 class Sequential : public Layer
 {
   public:
@@ -122,6 +129,9 @@ class Sequential : public Layer
 
   private:
     Tensor forwardPlanned(const Tensor &x);
+
+    /** The BatchNorm2d at @p i when a Relu follows it, else null. */
+    BatchNorm2d *bnBeforeRelu(std::size_t i) const;
 
     std::vector<LayerPtr> _layers;
     std::vector<QuantStep> _plan; //!< empty until planQuantized
@@ -175,7 +185,7 @@ class ResidualBlock : public Layer
     Sequential _main;
     Sequential _proj;  // empty when identity skip
     bool _hasProj;
-    LayerPtr _finalRelu;
+    Relu _finalRelu; //!< folded with the skip add (Relu::forwardAdd)
 
     // Raw child pointers captured at construction (the children live in
     // _main/_proj); used by the resident path and plan build.

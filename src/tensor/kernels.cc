@@ -112,52 +112,59 @@ packA(const float *a, std::int64_t lda, bool trans, std::int64_t i0,
 }
 
 /**
- * The shared engine: rows of C distributed over the pool, k blocked by
- * kBlockK, B already packed (shared, read-only; the pool's task
- * publication orders the pack before any worker read).
+ * Pack all of A (m×k) for gemmPackedRows: one kBlockK k-block after
+ * another, the block at k0 (width kc) starting at ap + k0 * mp (mp = m
+ * rounded up to kMicroM) in packA's layout for rows [0, m). A conv
+ * packs its weights this way once per call and reuses them for every
+ * image of the batch.
+ */
+void
+packAFull(const float *a, std::int64_t lda, bool trans, std::int64_t m,
+          std::int64_t k, float *ap)
+{
+    const std::int64_t mp = roundUp(m, MR);
+    for (std::int64_t k0 = 0; k0 < k; k0 += kBlockK)
+        packA(a, lda, trans, 0, m, k0, std::min<std::int64_t>(kBlockK, k - k0),
+              ap + k0 * mp);
+}
+
+/**
+ * The shared engine: rows [i0, i1) of C (i0 a multiple of kMicroM)
+ * from A packed by packAFull and B packed by packB (or an im2col
+ * packer), k blocked by kBlockK, on the calling thread. Each output
+ * element's chain runs over the k-blocks in ascending order, an
+ * accumulator reloaded from C continuing it, so splitting the rows
+ * over threads or images cannot change a bit.
  *
  * The micro-kernel comes from the runtime-dispatched KernelSet
- * (tensor/isa.hh); the pointer is snapshotted once here, before the
- * parallel region, so one GEMM can never tear across two ISA variants
- * even under a test-scoped override. All variants compute identical
+ * (tensor/isa.hh); callers snapshot it once, before any parallel
+ * region, so one GEMM can never tear across two ISA variants even
+ * under a test-scoped override. All variants compute identical
  * per-lane accumulation chains (simd.hh), so the dispatch choice never
  * changes the result.
  */
 void
-gemmWithPackedB(std::int64_t m, std::int64_t n, std::int64_t k,
-                const float *a, std::int64_t lda, bool trans_a,
-                const float *bp, float *c, std::int64_t ldc,
-                bool accumulate)
+gemmPackedRows(simd::MicroF32Fn micro, std::int64_t i0, std::int64_t i1,
+               std::int64_t m, std::int64_t n, std::int64_t k,
+               const float *ap, const float *bp, float *c, std::int64_t ldc,
+               bool accumulate)
 {
-    const simd::MicroF32Fn micro = activeKernels().microF32;
-    const std::int64_t grain = chunkRows(m, n, k);
-    parallelFor(0, m, grain,
-                [&](std::int64_t i0, std::int64_t i1) {
-        Arena::Scope scope;
-        const std::int64_t kc_max = std::min<std::int64_t>(k, kBlockK);
-        // Sized by the grain, not this chunk's rows: chunks are claimed
-        // dynamically, so every chunk must make the same arena demand
-        // or a worker warmed on the short tail chunk would have to grow
-        // (i.e. heap-allocate) when it later claims a full one.
-        float *ap = Arena::local().alloc(static_cast<std::size_t>(
-            roundUp(std::min(grain, m), MR) * kc_max));
-        for (std::int64_t k0 = 0; k0 < k; k0 += kBlockK) {
-            const std::int64_t kc = std::min<std::int64_t>(kBlockK, k - k0);
-            packA(a, lda, trans_a, i0, i1, k0, kc, ap);
-            const bool first = k0 == 0 && !accumulate;
-            for (std::int64_t j0 = 0; j0 < n; j0 += NR) {
-                const int nr =
-                    static_cast<int>(std::min<std::int64_t>(NR, n - j0));
-                const float *bpp = bp + (j0 / NR) * k * NR + k0 * NR;
-                for (std::int64_t ii = i0; ii < i1; ii += MR) {
-                    const int mr = static_cast<int>(
-                        std::min<std::int64_t>(MR, i1 - ii));
-                    micro(kc, ap + ((ii - i0) / MR) * kc * MR, bpp,
-                          c + ii * ldc + j0, ldc, mr, nr, first);
-                }
+    const std::int64_t mp = roundUp(m, MR);
+    for (std::int64_t k0 = 0; k0 < k; k0 += kBlockK) {
+        const std::int64_t kc = std::min<std::int64_t>(kBlockK, k - k0);
+        const float *apk = ap + k0 * mp;
+        const bool first = k0 == 0 && !accumulate;
+        for (std::int64_t j0 = 0; j0 < n; j0 += NR) {
+            const int nr = static_cast<int>(std::min<std::int64_t>(NR, n - j0));
+            const float *bpp = bp + (j0 / NR) * k * NR + k0 * NR;
+            for (std::int64_t ii = i0; ii < i1; ii += MR) {
+                const int mr =
+                    static_cast<int>(std::min<std::int64_t>(MR, i1 - ii));
+                micro(kc, apk + (ii / MR) * kc * MR, bpp, c + ii * ldc + j0,
+                      ldc, mr, nr, first);
             }
         }
-    });
+    }
 }
 
 /** Zero the m×n extent of C (the k == 0, no-accumulate edge). */
@@ -277,7 +284,18 @@ gemmBlocked(std::int64_t m, std::int64_t n, std::int64_t k, const float *a,
     float *bp = Arena::local().alloc(
         static_cast<std::size_t>(roundUp(n, NR) * k));
     packB(b, ldb, trans_b, k, n, bp);
-    gemmWithPackedB(m, n, k, a, lda, trans_a, bp, c, ldc, accumulate);
+    float *ap = Arena::local().alloc(
+        static_cast<std::size_t>(roundUp(m, MR) * k));
+    packAFull(a, lda, trans_a, m, k, ap);
+    // Both operands are packed once by the calling thread (the pool's
+    // task publication orders the packs before any worker read); row
+    // chunks of C then go over the pool.
+    const simd::MicroF32Fn micro = activeKernels().microF32;
+    parallelFor(0, m, chunkRows(m, n, k),
+                [&](std::int64_t i0, std::int64_t i1) {
+                    gemmPackedRows(micro, i0, i1, m, n, k, ap, bp, c, ldc,
+                                   accumulate);
+                });
 }
 
 void
@@ -380,7 +398,9 @@ directBandRows(int oh, int ow, int cout, std::int64_t kdim)
  * slot: copy the input rows the band reads into a zero-haloed arena
  * buffer (the +0 values im2col pads with), then one kernel call. The
  * buffer is sized by @p band_rows, not @p rows, so every unit of a
- * conv makes the same arena demand (see gemmWithPackedB).
+ * conv makes the same arena demand: units are claimed dynamically, and
+ * a worker warmed on the short tail unit would otherwise have to grow
+ * (heap-allocate) when it later claims a full one.
  */
 void
 directConvBand(simd::ConvDirectF32Fn fn, const float *image, int cin, int h,
@@ -428,11 +448,14 @@ directConvBand(simd::ConvDirectF32Fn fn, const float *image, int cin, int h,
     fn(args);
 }
 
-/** The im2col + blocked GEMM conv of one image (convForwardBatch). */
+/**
+ * The im2col + blocked GEMM conv of one image (convForwardBatch), over
+ * weights the caller packed once for the batch (packAFull).
+ */
 void
-packedConvImage(const float *image, int cin, int h, int w, int kh, int kw,
-                int stride, int pad, const float *wmat, int cout,
-                const float *bias, float *dst, int oh, int ow)
+packedConvImage(simd::MicroF32Fn micro, const float *image, int cin, int h,
+                int w, int kh, int kw, int stride, int pad, const float *wp,
+                int cout, const float *bias, float *dst, int oh, int ow)
 {
     const std::int64_t kdim = static_cast<std::int64_t>(cin) * kh * kw;
     const std::int64_t n = static_cast<std::int64_t>(oh) * ow;
@@ -440,7 +463,7 @@ packedConvImage(const float *image, int cin, int h, int w, int kh, int kw,
     float *bp = Arena::local().alloc(
         static_cast<std::size_t>(roundUp(n, NR) * kdim));
     packBIm2col(image, cin, h, w, kh, kw, stride, pad, oh, ow, bp);
-    gemmWithPackedB(cout, n, kdim, wmat, kdim, false, bp, dst, n, false);
+    gemmPackedRows(micro, 0, cout, cout, n, kdim, wp, bp, dst, n, false);
     if (bias) {
         // Second in-place pass, not bias-initialised accumulation: the
         // result stays (sum of products) + b, bit-matching the GEMM +
@@ -451,6 +474,38 @@ packedConvImage(const float *image, int cin, int h, int w, int kh, int kw,
             for (std::int64_t p = 0; p < n; ++p)
                 drow[p] += b;
         }
+    }
+}
+
+/**
+ * Pack one image's patches as the B operand of its dW GEMM: B is
+ * (OH·OW) × ncols with B(p, q) the im2col value of kernel offset q at
+ * output pixel p, so the pixels run along k and the kernel offsets
+ * along the 16 lanes. Element (p, lane) of panel q/16 sits at
+ * bp[(q/16)·ohow·16 + p·16 + q%16]. With @p ones the column at
+ * q = cin·kh·kw is all ones (the bias gradient); dead lanes are zero.
+ */
+void
+packBPatches(const float *image, int cin, int h, int w, int kh, int kw,
+             int stride, int pad, int oh, int ow, bool ones, float *bp)
+{
+    const std::int64_t kdim = static_cast<std::int64_t>(cin) * kh * kw;
+    const std::int64_t ohow = static_cast<std::int64_t>(oh) * ow;
+    const std::int64_t ncols = kdim + (ones ? 1 : 0);
+    const std::int64_t panel_stride = ohow * NR;
+    for (std::int64_t q = 0; q < kdim; ++q) {
+        const int kx = static_cast<int>(q % kw);
+        const int ky = static_cast<int>(q / kw) % kh;
+        const int ch = static_cast<int>(q / (kh * kw));
+        float *col = bp + (q / NR) * panel_stride + q % NR;
+        im2colRow(image, h, w, stride, pad, ch, ky, kx, oh, ow,
+                  [&](std::int64_t j, float v) { col[j * NR] = v; });
+    }
+    for (std::int64_t q = kdim; q < roundUp(ncols, NR); ++q) {
+        const float v = q < ncols ? 1.0f : 0.0f;
+        float *col = bp + (q / NR) * panel_stride + q % NR;
+        for (std::int64_t j = 0; j < ohow; ++j)
+            col[j * NR] = v;
     }
 }
 
@@ -478,11 +533,18 @@ convForwardBatch(const float *x, int n, int cin, int h, int w, int kh,
     const std::int64_t out_sz = static_cast<std::int64_t>(cout) * oh * ow;
     if (!convUsesDirect(cin, cout, stride, ow)) {
         const std::int64_t ohow = static_cast<std::int64_t>(oh) * ow;
+        const std::int64_t kdim = static_cast<std::int64_t>(cin) * kh * kw;
+        // The weights are packed once for the whole batch.
+        Arena::Scope scope;
+        float *wp = Arena::local().alloc(
+            static_cast<std::size_t>(roundUp(cout, MR) * kdim));
+        packAFull(wmat, kdim, false, cout, kdim, wp);
+        const simd::MicroF32Fn micro = activeKernels().microF32;
         parallelFor(0, n, 1, [&](std::int64_t i0, std::int64_t i1) {
             for (std::int64_t i = i0; i < i1; ++i) {
                 float *out = dst + i * out_sz;
-                packedConvImage(x + i * in_sz, cin, h, w, kh, kw, stride,
-                                pad, wmat, cout, bias, out, oh, ow);
+                packedConvImage(micro, x + i * in_sz, cin, h, w, kh, kw,
+                                stride, pad, wp, cout, bias, out, oh, ow);
                 if (epi.a == nullptr && !epi.relu)
                     continue;
                 // The direct kernel's epilogue, as its own pass.
@@ -515,6 +577,132 @@ convForwardBatch(const float *x, int n, int cin, int h, int w, int kh,
                            epi, dst + i * out_sz, oh, ow);
         }
     });
+}
+
+bool
+convDxUsesAdjoint(int cin, int cout, int k, int stride, int pad, int w)
+{
+    return stride == 1 && pad < k && convUsesDirect(cout, cin, 1, w);
+}
+
+// leca-analyze: entry
+void
+convBackwardDataBatch(const float *dy, int n, int cout, const float *wmat,
+                      int cin, int h, int w, int k, int stride, int pad,
+                      float *dx)
+{
+    const int oh = (h + 2 * pad - k) / stride + 1;
+    const int ow = (w + 2 * pad - k) / stride + 1;
+    const std::int64_t kk = static_cast<std::int64_t>(k) * k;
+    const std::int64_t kdim = cin * kk;
+    Arena::Scope scope;
+    if (convDxUsesAdjoint(cin, cout, k, stride, pad, w)) {
+        // dx = conv(dy, R) with pad k-1-pad, R[ci][co][ky][kx] =
+        // W[co][ci][k-1-ky][k-1-kx]: the weights rotated 180° and
+        // channel-transposed. Each dX element is one ascending
+        // (co, ky, kx) chain of the direct conv.
+        float *rot = Arena::local().alloc(
+            static_cast<std::size_t>(cout * kdim));
+        for (int co = 0; co < cout; ++co)
+            for (int ci = 0; ci < cin; ++ci) {
+                const float *src = wmat + (co * kdim + ci * kk);
+                float *dst = rot + (static_cast<std::int64_t>(ci) * cout + co)
+                                       * kk;
+                for (std::int64_t t = 0; t < kk; ++t)
+                    dst[kk - 1 - t] = src[t];
+            }
+        convForwardBatch(dy, n, cout, oh, ow, k, k, 1, k - 1 - pad, rot, cin,
+                         nullptr, dx);
+        return;
+    }
+    // dX_i = col2im(W^T * dY_i), W^T packed once for the batch.
+    const std::int64_t ohow = static_cast<std::int64_t>(oh) * ow;
+    const std::int64_t in_sz = static_cast<std::int64_t>(cin) * h * w;
+    float *wtp = Arena::local().alloc(
+        static_cast<std::size_t>(roundUp(kdim, MR) * cout));
+    packAFull(wmat, kdim, true, kdim, cout, wtp);
+    const simd::MicroF32Fn micro = activeKernels().microF32;
+    parallelFor(0, n, 1, [&](std::int64_t i0, std::int64_t i1) {
+        for (std::int64_t i = i0; i < i1; ++i) {
+            Arena::Scope image_scope;
+            float *bp = Arena::local().alloc(
+                static_cast<std::size_t>(roundUp(ohow, NR) * cout));
+            packB(dy + i * cout * ohow, ohow, false, cout, ohow, bp);
+            float *dcols = Arena::local().alloc(
+                static_cast<std::size_t>(kdim * ohow));
+            gemmPackedRows(micro, 0, kdim, kdim, ohow, cout, wtp, bp, dcols,
+                           ohow, false);
+            float *slab = dx + i * in_sz;
+            std::fill(slab, slab + in_sz, 0.0f);
+            col2imRaw(dcols, cin, h, w, k, k, stride, pad, slab);
+        }
+    });
+}
+
+// leca-analyze: entry
+void
+convWeightGradBatch(const float *x, int n, int cin, int h, int w, int k,
+                    int stride, int pad, const float *dy, int cout,
+                    float *dw, float *db)
+{
+    if (dw == nullptr && db == nullptr)
+        return;
+    const int oh = (h + 2 * pad - k) / stride + 1;
+    const int ow = (w + 2 * pad - k) / stride + 1;
+    const std::int64_t kdim = static_cast<std::int64_t>(cin) * k * k;
+    const std::int64_t ncols = kdim + (db != nullptr ? 1 : 0);
+    const std::int64_t ohow = static_cast<std::int64_t>(oh) * ow;
+    const std::int64_t in_sz = static_cast<std::int64_t>(cin) * h * w;
+    const std::int64_t part_sz = cout * ncols;
+    // Per-image partials live in one arena slab owned by the calling
+    // thread's scope; workers only open nested scopes above it. The
+    // slab is folded serially in ascending image order below, so each
+    // element's float order matches the serial loop bit for bit.
+    Arena::Scope scope;
+    float *partials = Arena::local().alloc(
+        static_cast<std::size_t>(n * part_sz));
+    const simd::MicroF32Fn micro = activeKernels().microF32;
+    parallelFor(0, n, 1, [&](std::int64_t i0, std::int64_t i1) {
+        for (std::int64_t i = i0; i < i1; ++i) {
+            // [dW_i | db_i] = dY_i * [patches | 1]: dY_i is the A
+            // operand, the patches go straight into lane-dense B
+            // panels, and each element is one ascending-pixel chain.
+            Arena::Scope image_scope;
+            float *ap = Arena::local().alloc(
+                static_cast<std::size_t>(roundUp(cout, MR) * ohow));
+            packAFull(dy + i * cout * ohow, ohow, false, cout, ohow, ap);
+            float *bp = Arena::local().alloc(
+                static_cast<std::size_t>(roundUp(ncols, NR) * ohow));
+            packBPatches(x + i * in_sz, cin, h, w, k, k, stride, pad, oh, ow,
+                         db != nullptr, bp);
+            gemmPackedRows(micro, 0, cout, cout, ncols, ohow, ap, bp,
+                           partials + i * part_sz, ncols, false);
+        }
+    });
+    // dW is summed over the batch before it joins the accumulator; db
+    // joins it image by image.
+    const std::int64_t wsz = cout * kdim;
+    float *dwsum = dw != nullptr ? Arena::local().alloc(
+                                       static_cast<std::size_t>(wsz))
+                                 : nullptr;
+    if (dwsum != nullptr)
+        std::fill(dwsum, dwsum + wsz, 0.0f);
+    for (int i = 0; i < n; ++i) {
+        const float *part = partials + i * part_sz;
+        for (int co = 0; co < cout; ++co) {
+            const float *row = part + co * ncols;
+            if (dwsum != nullptr) {
+                float *acc = dwsum + co * kdim;
+                for (std::int64_t q = 0; q < kdim; ++q)
+                    acc[q] += row[q];
+            }
+            if (db != nullptr)
+                db[co] += row[kdim];
+        }
+    }
+    if (dwsum != nullptr)
+        for (std::int64_t e = 0; e < wsz; ++e)
+            dw[e] += dwsum[e];
 }
 
 } // namespace leca

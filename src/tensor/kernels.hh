@@ -14,11 +14,12 @@
  *      tails) by the calling thread — for convolutions the im2col
  *      transform writes straight into this packed layout, so no column
  *      matrix is ever materialised on the inference path.
- *   2. Row chunks of A/C are distributed over the deterministic pool
- *      (util/parallel.hh). Each worker packs its own kMicroM-tall A
- *      panels (k blocked by kBlockK) into thread-local arena scratch
- *      and drives the micro-kernel over the tile grid.
- *   3. The micro-kernel keeps a kMicroM×kMicroN accumulator array in
+ *   2. A is packed ONCE into kMicroM-tall panels (k blocked by
+ *      kBlockK) by the calling thread; a conv packs its weights this
+ *      way once per call and reuses them for every image.
+ *   3. Row chunks of C are distributed over the deterministic pool
+ *      (util/parallel.hh); each drives the micro-kernel over its tiles.
+ *   4. The micro-kernel keeps a kMicroM×kMicroN accumulator array in
  *      registers and issues one multiply-add per element per k step,
  *      so every output element accumulates its k contributions in
  *      ascending order with a single accumulator chain.
@@ -57,7 +58,7 @@ inline constexpr int kMicroN = 16;
 /** k-dimension block: one packed A panel row fits in L1. */
 inline constexpr int kBlockK = 256;
 
-/** Cap on rows packed per worker chunk (A panel ≤ ~128 KiB in L2). */
+/** Cap on rows per worker chunk (its A panels ≤ ~128 KiB, in L2). */
 inline constexpr int kBlockM = 128;
 
 /**
@@ -161,6 +162,45 @@ void convForwardBatch(const float *x, int n, int cin, int h, int w, int kh,
                       int kw, int stride, int pad, const float *wmat,
                       int cout, const float *bias, float *dst,
                       const ConvEpilogue &epi = {});
+
+/**
+ * Whether convBackwardDataBatch computes a conv's dX for an input of
+ * width @p w as the adjoint direct conv: stride 1, pad < k, and
+ * convUsesDirect taking the adjoint shape (cout -> cin at width w).
+ */
+bool convDxUsesAdjoint(int cin, int cout, int k, int stride, int pad,
+                       int w);
+
+/**
+ * Input gradient of a k×k conv over a batch (DESIGN.md §9): dy
+ * [n, cout, OH, OW] → dx [n, cin, h, w], every element overwritten.
+ *
+ * When convDxUsesAdjoint holds, dX is one convForwardBatch over dY with
+ * pad k-1-pad and the weights rotated 180° and channel-transposed, so
+ * each element is one ascending (co, ky, kx) chain. Otherwise each
+ * image runs col2im(Wᵀ·dY), with Wᵀ packed once for the batch; the
+ * product keeps gemmBlocked's chains.
+ */
+void convBackwardDataBatch(const float *dy, int n, int cout,
+                           const float *wmat, int cin, int h, int w, int k,
+                           int stride, int pad, float *dx);
+
+/**
+ * Weight and bias gradients of a k×k conv over a batch, ACCUMULATED
+ * into @p dw [cout, cin·k·k] and @p db [cout]; either may be null (a
+ * frozen parameter), and with both null nothing runs.
+ *
+ * Each image's [dW | db] is one GEMM with dY as the A operand and the
+ * image's patches packed straight into 16-lane B panels (kernel
+ * offsets along the lanes, plus an all-ones column for db), so each
+ * element is one chain over the output pixels in ascending order — no
+ * column matrix is materialised. The per-image partials are folded in
+ * ascending image order: dW summed over the batch and then added to
+ * @p dw, db added to @p db image by image.
+ */
+void convWeightGradBatch(const float *x, int n, int cin, int h, int w,
+                         int k, int stride, int pad, const float *dy,
+                         int cout, float *dw, float *db);
 
 } // namespace leca
 

@@ -113,20 +113,6 @@ conv2dImage(const Tensor &x, int item, const Tensor &wmat, const Tensor &bias,
     return cols;
 }
 
-void
-conv2dImageInto(const Tensor &x, int item, const Tensor &wmat,
-                const Tensor &bias, int kh, int kw, int stride, int pad,
-                Tensor &y)
-{
-    const int cin = x.size(1), h = x.size(2), w = x.size(3);
-    const int cout = y.size(1), oh = y.size(2), ow = y.size(3);
-    convForwardBatch(x.data() + static_cast<std::size_t>(item) * cin * h * w,
-                     1, cin, h, w, kh, kw, stride, pad, wmat.data(), cout,
-                     bias.numel() > 0 ? bias.data() : nullptr,
-                     y.data()
-                         + static_cast<std::size_t>(item) * cout * oh * ow);
-}
-
 Tensor
 conv2d(const Tensor &x, const Tensor &weight, const Tensor &bias, int stride,
        int pad)

@@ -73,18 +73,6 @@ Tensor conv2dImage(const Tensor &x, int item, const Tensor &wmat,
                    const Tensor &bias, int kh, int kw, int stride, int pad,
                    Tensor &y);
 
-/**
- * conv2dImage without the column matrix: for callers that do not need
- * the im2col scratch for a backward pass (inference paths), the image
- * runs through convForwardBatch (tensor/kernels.hh) — packed straight
- * into the blocked-GEMM panel layout in arena scratch, or the direct
- * conv — so steady-state forward convolution performs no heap
- * allocation. Output values are bit-identical to conv2dImage.
- */
-void conv2dImageInto(const Tensor &x, int item, const Tensor &wmat,
-                     const Tensor &bias, int kh, int kw, int stride,
-                     int pad, Tensor &y);
-
 /** Batched average pooling with kernel=stride (non-overlapping blocks). */
 Tensor avgPool2d(const Tensor &x, int k);
 

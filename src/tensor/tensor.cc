@@ -1,6 +1,7 @@
 #include "tensor.hh"
 
 #include <cstdlib>
+#include <limits>
 #include <numeric>
 #include <utility>
 
@@ -31,8 +32,10 @@ shapeProduct(const std::vector<int> &shape)
 // Arena. Destroyed tensors now donate their storage to a per-thread
 // pool and constructors take a best-fit buffer back out, so warm
 // construct/destroy cycles recycle capacity instead of touching the
-// heap. Values are never reused (every acquire is followed by an
-// assign/resize that overwrites), so determinism is untouched.
+// heap. The zero-filling and copying constructors overwrite every
+// recycled value; Tensor::uninitialized hands stale values to a kernel
+// that overwrites them all, so no result ever depends on them and
+// determinism is untouched.
 //
 // The pool is capped (slots and total floats); anything beyond the cap
 // frees normally. Under AddressSanitizer the pool is disabled so
@@ -149,10 +152,11 @@ localPool()
     return &t_pool;
 }
 
-/** Fill @p out with n elements of @p value, recycling pooled capacity. */
+/** Give @p out a pooled buffer with capacity for n elements when it
+ *  lacks one; its elements are whatever the buffer held. */
 template <typename T>
 void
-pooledAssign(std::vector<T> &out, std::size_t n, T value)
+recycleInto(std::vector<T> &out, std::size_t n)
 {
     if (poolEnabled() && out.capacity() < n) {
         if (BufferPool<T> *pool = localPool<T>()) {
@@ -161,6 +165,14 @@ pooledAssign(std::vector<T> &out, std::size_t n, T value)
                 out = std::move(buffer);
         }
     }
+}
+
+/** Fill @p out with n elements of @p value, recycling pooled capacity. */
+template <typename T>
+void
+pooledAssign(std::vector<T> &out, std::size_t n, T value)
+{
+    recycleInto(out, n);
     out.assign(n, value);
 }
 
@@ -169,15 +181,21 @@ template <typename T>
 void
 pooledCopy(std::vector<T> &out, const T *first, const T *last)
 {
-    const std::size_t n = static_cast<std::size_t>(last - first);
-    if (poolEnabled() && out.capacity() < n) {
-        if (BufferPool<T> *pool = localPool<T>()) {
-            std::vector<T> buffer = pool->acquire(n);
-            if (buffer.capacity() >= n)
-                out = std::move(buffer);
-        }
-    }
+    recycleInto(out, static_cast<std::size_t>(last - first));
     out.assign(first, last);
+}
+
+/**
+ * Size the empty @p out to n floats without an assign pass: a recycled
+ * buffer keeps the values it holds and only a grown tail is written.
+ * Every value not recycled — a fresh allocation, a recycled buffer's
+ * grown tail, all storage when the pool is off — reads quiet NaN.
+ */
+void
+pooledUninitialized(std::vector<float> &out, std::size_t n)
+{
+    recycleInto(out, n);
+    out.resize(n, std::numeric_limits<float>::quiet_NaN());
 }
 
 template <typename T>
@@ -218,6 +236,24 @@ Tensor::operator=(Tensor &&other) noexcept
     std::swap(_borrowed, other._borrowed);
     std::swap(_borrowedSize, other._borrowedSize);
     return *this;
+}
+
+Tensor
+Tensor::uninitialized(const std::vector<int> &shape)
+{
+    Tensor t;
+    pooledCopy(t._shape, shape.data(), shape.data() + shape.size());
+    pooledUninitialized(t._data, shapeProduct(t._shape));
+    return t;
+}
+
+Tensor
+Tensor::uninitialized(std::initializer_list<int> shape)
+{
+    Tensor t;
+    pooledCopy(t._shape, shape.begin(), shape.end());
+    pooledUninitialized(t._data, shapeProduct(t._shape));
+    return t;
 }
 
 Tensor

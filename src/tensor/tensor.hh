@@ -38,6 +38,22 @@ class Tensor
     /** Convenience initializer-list constructor: Tensor({n, c, h, w}). */
     Tensor(std::initializer_list<int> shape);
 
+    /**
+     * Tensor whose elements the caller overwrites in full (a kernel's
+     * output). It recycles a pooled buffer without an assign pass, so
+     * the elements are unspecified: stale values of an earlier tensor
+     * when a pooled buffer is reused. Storage that is not recycled —
+     * fresh allocations, and every buffer when the pool is compiled
+     * out (sanitizer builds) or switched off — reads quiet NaN, so an
+     * element a kernel leaves unwritten shows up in the exact-compare
+     * tests instead of passing as a zero (DESIGN.md §9).
+     */
+    static Tensor uninitialized(const std::vector<int> &shape);
+
+    /** uninitialized(), brace form: builds its shape from the pool, so
+     *  Tensor::uninitialized({n, c, h, w}) allocates nothing warm. */
+    static Tensor uninitialized(std::initializer_list<int> shape);
+
     /** Zero-filled factory (reads better at call sites). */
     static Tensor zeros(const std::vector<int> &shape);
 

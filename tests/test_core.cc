@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "core/decoder.hh"
@@ -24,6 +26,8 @@
 #include "hw/sensor_chip.hh"
 #include "hw/weights.hh"
 #include "nn/loss.hh"
+#include "nn/optimizer.hh"
+#include "nn/quantize.hh"
 #include "tensor/isa.hh"
 #include "tensor/ops.hh"
 #include "util/check.hh"
@@ -501,6 +505,133 @@ TEST(FrozenBackbone, TrainableGradsInvariantAcrossThreadsAndIsas)
             EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
                                      want.size() * sizeof(float)))
                 << set->name << " threads=" << threads;
+        }
+    }
+}
+
+/**
+ * FNV-1a over the bits of the encoder and decoder parameters after
+ * three Adam steps of the servebench train_proxy24 shape: a frozen,
+ * randomly initialised Proxy backbone (8 classes), the default LeCA
+ * encoder/decoder in the Soft modality, batch 32 at 24×24.
+ */
+std::uint64_t
+proxy24TrainedParamsHash()
+{
+    constexpr int kBatch = 32, kSteps = 3;
+    SyntheticVision::Config cfg;
+    cfg.resolution = 24;
+    cfg.numClasses = 8;
+    cfg.seed = 1;
+    const Dataset data = SyntheticVision(cfg).generate(kBatch * kSteps, 3);
+    Rng rng(5);
+    auto backbone = makeBackbone(BackboneStyle::Proxy, 3, 8, rng);
+    LecaPipeline::Options options;
+    options.seed = 9;
+    LecaPipeline pipe(options, std::move(backbone));
+    pipe.setModality(EncoderModality::Soft);
+    Adam adam(pipe.allParams(), 1e-3);
+    SoftmaxCrossEntropy loss;
+    const std::size_t image = 3 * 24 * 24;
+    for (int b = 0; b < kSteps; ++b) {
+        const Tensor batch = Tensor::borrow(
+            {kBatch, 3, 24, 24}, data.images.data() + b * kBatch * image);
+        const std::vector<int> labels(
+            data.labels.begin() + b * kBatch,
+            data.labels.begin() + (b + 1) * kBatch);
+        adam.zeroGrad();
+        loss.forward(pipe.forward(batch, Mode::Train), labels);
+        pipe.backward(loss.backward());
+        adam.step();
+    }
+    std::uint64_t h = 1469598103934665603ull;
+    const auto mix = [&h](const Tensor &t) {
+        const auto *bytes = reinterpret_cast<const unsigned char *>(t.data());
+        for (std::size_t i = 0; i < t.numel() * sizeof(float); ++i) {
+            h ^= bytes[i];
+            h *= 1099511628211ull;
+        }
+    };
+    for (Param *p : pipe.encoder().params())
+        mix(p->value);
+    for (Param *p : pipe.decoder().params())
+        mix(p->value);
+    return h;
+}
+
+TEST(GoldenTrain, Proxy24ParamsPinnedAcrossThreadsAndIsas)
+{
+    // Recorded before the train step's memory passes were cut (fused
+    // BN/ReLU/skip passes, uninitialised outputs, lane-dense dW): the
+    // trained bits must not move, at any thread count or kernel set.
+    // The layers outside the kernel TUs build with the default FP
+    // contraction, so an optimised build on an FMA host fuses some of
+    // their multiply-adds and trains other bits than an unoptimised
+    // (Debug, sanitizer) or FMA-less build; each has its own pin.
+#if defined(__OPTIMIZE__) && defined(__FMA__)
+    constexpr std::uint64_t kWant = 8235196901916698096ull;
+#else
+    constexpr std::uint64_t kWant = 471117005680041516ull;
+#endif
+    struct RestoreThreads
+    {
+        int n;
+        ~RestoreThreads() { setThreadCount(n); }
+    } restore{threadCount()};
+    for (const KernelSet *set : compiledKernelSets()) {
+        if (!hostSupportsKernelSet(*set))
+            continue;
+        ScopedKernelOverride isa(*set);
+        for (int threads : {1, 2, 4}) {
+            setThreadCount(threads);
+            EXPECT_EQ(proxy24TrainedParamsHash(), kWant)
+                << set->name << " threads=" << threads;
+        }
+    }
+}
+
+TEST(NanFrame, SoftEvalForwardIsolatesTheBadFrame)
+{
+    // One frame with a NaN pixel: the forward returns, the encoder
+    // emits only grid values, and every other frame's logits are the
+    // clean batch's bits — in fp32 and after quantize().
+    for (const bool quantized : {false, true}) {
+        Rng rng(3);
+        auto backbone = makeBackbone(BackboneStyle::Proxy, 3, 4, rng);
+        LecaPipeline::Options options;
+        options.leca = tinyConfig();
+        options.seed = 21;
+        LecaPipeline pipe(options, std::move(backbone));
+        pipe.setModality(EncoderModality::Soft);
+        if (quantized)
+            pipe.quantize();
+        constexpr int kFrames = 4, kBad = 1;
+        Tensor clean({kFrames, 3, 16, 16});
+        Rng data(5);
+        for (std::size_t i = 0; i < clean.numel(); ++i)
+            clean[i] = static_cast<float>(data.uniform(0.0, 1.0));
+        Tensor bad = clean;
+        bad.at(kBad, 2, 5, 7) = std::numeric_limits<float>::quiet_NaN();
+
+        const int levels = options.leca.qbits.levels();
+        const Tensor features = pipe.encodeFeatures(bad, Mode::Eval);
+        for (std::size_t i = 0; i < features.numel(); ++i) {
+            const float v = features[i];
+            ASSERT_TRUE(std::isfinite(v)) << "feature " << i;
+            ASSERT_EQ(v, quantizeUniform(v, -1.0f, 1.0f, levels))
+                << "feature " << i << " is off the grid";
+        }
+        const Tensor want = pipe.forward(clean, Mode::Eval);
+        const Tensor got = pipe.forward(bad, Mode::Eval);
+        ASSERT_EQ(got.numel(), want.numel());
+        const std::size_t row = want.numel() / kFrames;
+        for (int f = 0; f < kFrames; ++f) {
+            if (f == kBad)
+                continue;
+            EXPECT_EQ(0, std::memcmp(got.data() + f * row,
+                                     want.data() + f * row,
+                                     row * sizeof(float)))
+                << "frame " << f << (quantized ? " (quantized)" : "");
         }
     }
 }

@@ -207,8 +207,9 @@ TEST_F(KernelsTest, PackedConvMatchesColsPathBitForBit)
         Tensor y_cols({1, cs.cout, oh, ow});
         Tensor y_packed({1, cs.cout, oh, ow});
         conv2dImage(x, 0, wmat, bias, cs.k, cs.k, cs.stride, cs.pad, y_cols);
-        conv2dImageInto(x, 0, wmat, bias, cs.k, cs.k, cs.stride, cs.pad,
-                        y_packed);
+        convForwardBatch(x.data(), 1, cs.cin, cs.h, cs.w, cs.k, cs.k,
+                         cs.stride, cs.pad, wmat.data(), cs.cout, bias.data(),
+                         y_packed.data());
         EXPECT_EQ(0, std::memcmp(y_cols.data(), y_packed.data(),
                                  y_cols.numel() * sizeof(float)))
             << "cin=" << cs.cin << " h=" << cs.h << " k=" << cs.k

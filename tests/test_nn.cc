@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "nn/activation.hh"
 #include "nn/batchnorm.hh"
@@ -20,6 +22,7 @@
 #include "nn/quantize.hh"
 #include "nn/sequential.hh"
 #include "tensor/ops.hh"
+#include "util/check.hh"
 #include "util/rng.hh"
 
 namespace leca {
@@ -33,6 +36,109 @@ randomTensor(std::vector<int> shape, Rng &rng, double lo = -1.0,
     for (std::size_t i = 0; i < t.numel(); ++i)
         t[i] = static_cast<float>(rng.uniform(lo, hi));
     return t;
+}
+
+/** memcmp equality of two tensors' shapes and bits. */
+::testing::AssertionResult
+sameBits(const Tensor &a, const Tensor &b)
+{
+    if (!a.sameShape(b))
+        return ::testing::AssertionFailure() << "shapes differ";
+    if (std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) != 0)
+        return ::testing::AssertionFailure() << "bits differ";
+    return ::testing::AssertionSuccess();
+}
+
+/** An activation with exact zeros, -0, ±Inf and a NaN mixed in, so the
+ *  ReLU mask sees every sign case. */
+Tensor
+edgyTensor(std::vector<int> shape, std::uint64_t seed)
+{
+    Rng rng(seed);
+    Tensor t = randomTensor(std::move(shape), rng, -2.0, 2.0);
+    t[0] = 0.0f;
+    t[1] = -0.0f;
+    t[2] = std::numeric_limits<float>::infinity();
+    t[3] = -std::numeric_limits<float>::infinity();
+    t[4] = std::numeric_limits<float>::quiet_NaN();
+    return t;
+}
+
+TEST(FoldedPasses, BatchNormReluMatchesSeparateLayers)
+{
+    // Sequential folds a Train-mode BatchNorm2d→Relu pair into one pass
+    // each way; outputs, dX, dγ/dβ and the running statistics must be
+    // the separate layers' bits. Channel counts cover a partial group
+    // of interleaved chains (5, 11) as well as whole ones (16).
+    for (const int c : {5, 11, 16}) {
+        SCOPED_TRACE(::testing::Message() << "channels=" << c);
+        Rng rng(41);
+        const Tensor x = randomTensor({3, c, 5, 7}, rng, -2.0, 2.0);
+        const Tensor g = edgyTensor({3, c, 5, 7}, 43);
+        BatchNorm2d bn_a(c);
+        Relu relu_a;
+        Sequential folded;
+        auto &bn_b = folded.emplace<BatchNorm2d>(c);
+        folded.emplace<Relu>();
+        for (BatchNorm2d *bn : {&bn_a, &bn_b}) {
+            for (int ch = 0; ch < c; ++ch) {
+                bn->params()[0]->value[static_cast<std::size_t>(ch)] =
+                    0.5f + 0.1f * static_cast<float>(ch);
+                bn->params()[1]->value[static_cast<std::size_t>(ch)] =
+                    0.05f * static_cast<float>(ch) - 0.2f;
+            }
+        }
+        const Tensor want_y =
+            relu_a.forward(bn_a.forward(x, Mode::Train), Mode::Train);
+        const Tensor got_y = folded.forward(x, Mode::Train);
+        EXPECT_TRUE(sameBits(got_y, want_y));
+        const Tensor want_dx = bn_a.backward(relu_a.backward(g));
+        const Tensor got_dx = folded.backward(g);
+        EXPECT_TRUE(sameBits(got_dx, want_dx));
+        EXPECT_TRUE(sameBits(bn_b.params()[0]->grad, bn_a.params()[0]->grad));
+        EXPECT_TRUE(sameBits(bn_b.params()[1]->grad, bn_a.params()[1]->grad));
+        EXPECT_TRUE(sameBits(bn_b.runningMean(), bn_a.runningMean()));
+        EXPECT_TRUE(sameBits(bn_b.runningVar(), bn_a.runningVar()));
+        // The folded pair keeps the ReLU's "backward without forward"
+        // check: its mask was consumed above.
+        EXPECT_THROW(folded.backward(g), CheckError);
+    }
+}
+
+TEST(FoldedPasses, SkipAddReluMatchesSeparatePasses)
+{
+    // Relu::forwardAdd (ResidualBlock's skip add + final ReLU in one
+    // pass) is bitwise `sum += addend` then the Relu layer, in both
+    // modes, and its backward is the Relu layer's.
+    Rng rng(47);
+    const Tensor main = edgyTensor({2, 4, 6, 6}, 53);
+    const Tensor skip = randomTensor({2, 4, 6, 6}, rng, -2.0, 2.0);
+    const Tensor g = edgyTensor({2, 4, 6, 6}, 59);
+    for (const Mode mode : {Mode::Train, Mode::Eval}) {
+        Relu separate, folded;
+        Tensor sum = main;
+        sum += skip;
+        const Tensor want = separate.forward(sum, mode);
+        Tensor got = main;
+        folded.forwardAdd(got, skip, mode);
+        EXPECT_TRUE(sameBits(got, want));
+        if (mode == Mode::Train)
+            EXPECT_TRUE(sameBits(folded.backward(g), separate.backward(g)));
+        else
+            EXPECT_THROW(folded.backward(g), CheckError);
+    }
+}
+
+TEST(FoldedPasses, ResidualBlockBackwardWithoutForwardFails)
+{
+    Rng rng(61);
+    ResidualBlock block(4, 4, 1, rng);
+    const Tensor g = randomTensor({1, 4, 5, 5}, rng);
+    EXPECT_THROW(block.backward(g), CheckError);
+    const Tensor x = randomTensor({1, 4, 5, 5}, rng);
+    block.forward(x, Mode::Train);
+    block.backward(g);
+    EXPECT_THROW(block.backward(g), CheckError);
 }
 
 TEST(Conv2d, OutputShape)
@@ -169,6 +275,13 @@ TEST(Quantize, CodesCoverRange)
     EXPECT_EQ(quantizeCode(0.5f, 0.0f, 1.0f, 4), 2); // rounds to 2/3
     EXPECT_EQ(quantizeCode(-5.0f, 0.0f, 1.0f, 4), 0);
     EXPECT_EQ(quantizeCode(5.0f, 0.0f, 1.0f, 4), 3);
+    // ±Inf clamp to the end codes; NaN maps to code 0 (documented).
+    const float inf = std::numeric_limits<float>::infinity();
+    EXPECT_EQ(quantizeCode(-inf, 0.0f, 1.0f, 4), 0);
+    EXPECT_EQ(quantizeCode(inf, 0.0f, 1.0f, 4), 3);
+    EXPECT_EQ(quantizeCode(std::numeric_limits<float>::quiet_NaN(), 0.0f,
+                           1.0f, 4),
+              0);
 }
 
 TEST(Quantize, RoundTripIdempotent)

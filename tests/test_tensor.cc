@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "tensor/ops.hh"
 #include "tensor/tensor.hh"
+#include "util/alloc_guard.hh"
+#include "util/parallel.hh"
 #include "util/rng.hh"
 
 namespace leca {
@@ -62,6 +65,68 @@ TEST(Tensor, ZeroInitialised)
     Tensor t({2, 3});
     for (std::size_t i = 0; i < t.numel(); ++i)
         EXPECT_EQ(t[i], 0.0f);
+}
+
+TEST(Tensor, UninitializedFreshStorageIsNanPoisoned)
+{
+    // An AsyncTask body runs on a fresh thread with an empty buffer
+    // pool, so the storage is a new allocation: every element reads
+    // quiet NaN (as all storage does where the pool is compiled out),
+    // so an element a kernel forgets to write cannot pass an exact
+    // compare as a zero. A pooled buffer too short for a larger shape
+    // is not reused.
+    std::vector<int> shape;
+    std::size_t fresh_nans = 0, grown_nans = 0;
+    AsyncTask task;
+    task.run([&] {
+        const Tensor t = Tensor::uninitialized({2, 3, 5, 7});
+        shape = t.shape();
+        for (std::size_t i = 0; i < t.numel(); ++i)
+            fresh_nans += std::isnan(t[i]) ? 1 : 0;
+        { const Tensor small = Tensor::full({4}, 1.0f); }
+        const Tensor grown = Tensor::uninitialized(std::vector<int>{9});
+        for (std::size_t i = 0; i < grown.numel(); ++i)
+            grown_nans += std::isnan(grown[i]) ? 1 : 0;
+    });
+    task.wait();
+    EXPECT_EQ(shape, (std::vector<int>{2, 3, 5, 7}));
+    EXPECT_EQ(fresh_nans, 2u * 3 * 5 * 7);
+    EXPECT_EQ(grown_nans, 9u);
+}
+
+TEST(Tensor, UninitializedRegrownBufferPoisonsItsTail)
+{
+    // A recycled buffer that held fewer elements than asked for keeps
+    // its stale head and grows a NaN tail. With the pool off (sanitizer
+    // builds, LECA_TENSOR_POOL=0) nothing is recycled and all reads NaN.
+    std::vector<float> values;
+    AsyncTask task;
+    task.run([&] {
+        { const Tensor big = Tensor::full({16}, 1.0f); }
+        { const Tensor shrunk = Tensor::uninitialized({4}); }
+        const Tensor regrown = Tensor::uninitialized({9});
+        values.assign(regrown.data(), regrown.data() + regrown.numel());
+    });
+    task.wait();
+    ASSERT_EQ(values.size(), 9u);
+    const bool recycled = !std::isnan(values[0]);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        if (i < 4 && recycled)
+            EXPECT_EQ(values[i], 1.0f) << i;
+        else
+            EXPECT_TRUE(std::isnan(values[i])) << i;
+    }
+}
+
+TEST(Tensor, WarmUninitializedAllocatesNothing)
+{
+    if (!allocGuardEnabled())
+        GTEST_SKIP() << "built without LECA_ALLOC_GUARD";
+    { const Tensor warm = Tensor::uninitialized({4, 8, 6, 6}); }
+    DenyAllocScope deny;
+    const Tensor t = Tensor::uninitialized({4, 8, 6, 6});
+    EXPECT_EQ(t.numel(), 4u * 8 * 6 * 6);
+    EXPECT_EQ(deny.violations(), 0u);
 }
 
 TEST(Tensor, ShapeAndNumel)

@@ -27,6 +27,7 @@
 #include "tensor/kernels.hh"
 #include "util/alloc_guard.hh"
 #include "util/arena.hh"
+#include "util/check.hh"
 #include "util/parallel.hh"
 #include "util/rng.hh"
 
@@ -277,6 +278,16 @@ TEST_F(TrainLoopTest, Conv2dBackwardMatchesReference)
         {1, 2, 6, 6, 3, 2, 2, 0, false},
         {3, 1, 5, 5, 2, 3, 1, 2, true},
         {2, 4, 4, 4, 5, 4, 4, 0, true}, // encoder-like: stride == k
+        // The lane-dense dW panels (kernel offsets along 16 lanes, the
+        // bias as a ones column): the decoder's 3-channel convs, the
+        // 3->F conv, a kdim of exactly 16 whose ones column opens a
+        // panel of its own, and the default encoder's 3->8 k=stride=2
+        // patches.
+        {2, 3, 24, 24, 3, 3, 1, 1, true},
+        {2, 16, 24, 24, 3, 3, 1, 1, true},
+        {2, 3, 24, 24, 16, 3, 1, 1, false},
+        {3, 16, 6, 6, 5, 1, 1, 0, true},
+        {3, 3, 24, 24, 8, 2, 2, 0, false},
     };
     for (const Shape &s : shapes) {
         SCOPED_TRACE(::testing::Message()
@@ -498,6 +509,13 @@ TEST_F(TrainLoopTest, Conv2dFrozenBackwardLeavesGradsAndKeepsDx)
                                  live_dw.numel() * sizeof(float)));
         for (std::size_t i = 0; i < conv.bias().grad.numel(); ++i)
             ASSERT_EQ(conv.bias().grad[i], 0.0f);
+
+        // A fully frozen forward caches no input, so a parameter
+        // unfrozen before its backward has nothing to form dW from.
+        conv.freeze(true);
+        conv.forward(x, Mode::Train);
+        conv.weight().frozen = false;
+        EXPECT_THROW(conv.backward(dy), CheckError);
     }
 }
 
